@@ -2,10 +2,10 @@
 //
 // The batch API (sigdsp.FilterECG) processes whole buffers; a sensor node
 // sees one ADC sample every 1/360 s and has a few kilobytes of RAM. This
-// example drives the bounded-memory streaming filter over a synthetic
+// example drives the bounded-memory streaming filter (noise suppression +
+// baseline removal, the serving pipeline's front end) over a synthetic
 // recording, shows its fixed group delay, and verifies on the fly that the
-// stream output agrees with the batch reference — the property the library
-// guarantees after warm-up.
+// stream output is bit-identical to the batch reference.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/sigdsp"
@@ -26,11 +25,12 @@ func main() {
 	raw := rec.LeadMillivolts(0)
 	cfg := sigdsp.DefaultBaselineConfig(rec.Fs)
 
-	// Reference: batch baseline removal over the whole buffer.
-	batch := sigdsp.RemoveBaseline(raw, cfg)
+	// Reference: batch noise suppression + baseline removal over the whole
+	// buffer.
+	batch := sigdsp.FilterECG(raw, cfg)
 
 	// Stream: one Push per ADC sample, bounded memory.
-	f := sigdsp.NewStreamFilter(cfg)
+	f := sigdsp.NewStreamECGFilter(cfg)
 	fmt.Printf("streaming front end: group delay %d samples (%.0f ms at %.0f Hz)\n",
 		f.Delay(), 1000*float64(f.Delay())/rec.Fs, rec.Fs)
 
@@ -43,28 +43,24 @@ func main() {
 	fmt.Printf("pushed %d samples, emitted %d (the final %d need future input)\n",
 		len(raw), len(out), len(raw)-len(out))
 
-	// Agreement with the batch reference after warm-up.
-	warm := 2 * f.Delay()
-	var maxErr float64
-	for i := warm; i < len(out); i++ {
-		if e := math.Abs(out[i] - batch[i]); e > maxErr {
-			maxErr = e
+	// Agreement with the batch reference: every emitted sample, from the
+	// first one on (the trailing windows over the first samples cover
+	// exactly the batch operators' clipped border windows).
+	differ := 0
+	for i, y := range out {
+		if y != batch[i] {
+			differ++
 		}
 	}
-	fmt.Printf("max |stream - batch| after warm-up: %.3g mV (bit-exact)\n", maxErr)
-
-	// What the node gains: memory. The stream keeps four morphology wedges
-	// plus the alignment delay line, versus five full-record buffers for
-	// the batch version.
-	streamBytes := (f.Delay() + 1) * 8 * 5 // delay line + 4 wedges, worst case
-	batchBytes := len(raw) * 8 * 5         // input + 4 intermediates
-	fmt.Printf("approx working memory: stream %d B vs batch %d B for this record\n",
-		streamBytes, batchBytes)
+	if differ > 0 {
+		log.Fatalf("%d of %d stream samples differ from the batch reference", differ, len(out))
+	}
+	fmt.Printf("stream == batch on all %d emitted samples (bit-exact)\n", len(out))
 
 	// Show a beat before/after filtering.
 	if len(rec.Ann) > 3 {
 		p := rec.Ann[3].Sample
-		if p >= warm && p < len(out) {
+		if p < len(out) {
 			fmt.Printf("\nbeat @%d: raw %.3f mV (wandering baseline), filtered %.3f mV\n",
 				p, raw[p], out[p])
 		}

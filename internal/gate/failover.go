@@ -71,18 +71,25 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 	}
 
 	j := newJournal(g.failoverWindow)
+	body := &uplinkBody{r: r.Body}
 	var pump sync.WaitGroup
 	pump.Add(1)
 	go func() {
 		defer pump.Done()
-		pumpUplink(r.Body, wire.IsSampleContentType(r.Header.Get("Content-Type")), j)
+		pumpUplink(body, wire.IsSampleContentType(r.Header.Get("Content-Type")), j)
 	}()
 	defer func() {
-		// The pump must not touch r.Body after this handler returns: close
-		// the journal, break any read still blocked on a quiet client with
-		// an immediate deadline, and only then hand the connection back.
+		// The pump must not touch r.Body after this handler returns. Close
+		// the journal and stop the body; a read still blocked on a quiet
+		// client is broken with an immediate deadline. Only a blocked read
+		// gets one: the deadline also fails net/http's background read of a
+		// finished upload, which cancels the connection for its next
+		// request, so a connection that had one is closed, not handed back.
 		j.close()
-		rc.SetReadDeadline(time.Now())
+		if body.stop() {
+			rc.SetReadDeadline(time.Now())
+			closeAfterReply(w)
+		}
 		pump.Wait()
 	}()
 
@@ -207,6 +214,61 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 			cur = next
 		}
 	}
+}
+
+// uplinkBody is the client request body as the uplink pump reads it. It
+// records whether a read is in flight, so the relay can tell a pump blocked
+// on a quiet client (which needs a read deadline to let go of the body)
+// from one between reads or done (which needs nothing).
+type uplinkBody struct {
+	r       io.Reader
+	mu      sync.Mutex
+	reading bool
+	stopped bool
+}
+
+var errUplinkStopped = errors.New("gate: relay finished with the uplink")
+
+func (b *uplinkBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
+		return 0, errUplinkStopped
+	}
+	b.reading = true
+	b.mu.Unlock()
+	n, err := b.r.Read(p)
+	b.mu.Lock()
+	b.reading = false
+	b.mu.Unlock()
+	return n, err
+}
+
+// stop makes every later Read fail without touching the body and reports
+// whether a Read is still blocked in it.
+func (b *uplinkBody) stop() (blocked bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.stopped = true
+	return b.reading
+}
+
+// closeAfterReply makes net/http close the client connection once the
+// current response is complete instead of reading another request from it.
+// An overflowing MaxBytesReader is net/http's one public lever for that: it
+// marks the response close-after-reply (and sends Connection: close if the
+// header is not written yet). The lever needs the server's own
+// ResponseWriter, so wrappers are unwrapped first.
+func closeAfterReply(w http.ResponseWriter) {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	var one [1]byte
+	http.MaxBytesReader(w, io.NopCloser(bytes.NewReader(one[:])), 0).Read(one[:])
 }
 
 // failoverSuccessor resolves where a torn stream resumes: the next routable

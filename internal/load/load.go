@@ -248,7 +248,7 @@ func ExpectedBeats(lead []int32) []int {
 	}
 	var out []int
 	for _, v := range lead {
-		y, ok := filter.Push(float64(v-ecgsyn.Baseline) / ecgsyn.Gain)
+		y, ok := filter.Push((float64(v) - ecgsyn.Baseline) / ecgsyn.Gain)
 		if !ok {
 			continue
 		}

@@ -243,7 +243,7 @@ func windowedRMSInto(out, v []float64, win int) {
 		}
 		var s float64
 		for _, x := range v[start:end] {
-			s += x * x
+			s += float64(x * x) // rounded square: no FMA on any platform
 		}
 		r := math.Sqrt(s / float64(end-start))
 		for i := start; i < end; i++ {

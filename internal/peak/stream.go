@@ -47,10 +47,12 @@ type StreamDetector struct {
 	wbuf  [2][]float64
 	sumsq [2]float64
 
-	// Detection signal and its threshold, as rings indexed by absolute
-	// sample position modulo ring.
+	// Detection signal and its threshold, as power-of-two rings indexed by
+	// absolute sample position masked with mask. Positions are absolute, so
+	// any ring of at least win+pair+16 samples holds every sample a scan or
+	// zero crossing still reads.
 	z, thrZ []float64
-	ring    int
+	mask    int
 	zN      int // detection-signal samples produced
 	scan    int // next index to scan for significant extrema
 
@@ -96,9 +98,10 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 			d.nextWin = win - phase
 		}
 	}
-	d.ring = d.win + d.pair + 16
-	d.z = make([]float64, d.ring)
-	d.thrZ = make([]float64, d.ring)
+	ring := sigdsp.RingSize(d.win + d.pair + 16)
+	d.mask = ring - 1
+	d.z = make([]float64, ring)
+	d.thrZ = make([]float64, ring)
 	d.wbuf[0] = make([]float64, 0, d.win)
 	d.wbuf[1] = make([]float64, 0, d.win)
 	return d, nil
@@ -120,16 +123,20 @@ func (d *StreamDetector) Window() int { return d.win }
 // Push consumes one sample of the filtered lead and returns the R peaks
 // finalized by it, as absolute sample indices (aligned with the input).
 // The returned slice is reused by the next call; copy it to retain.
+//
+//rpbeat:allocfree
 func (d *StreamDetector) Push(x float64) []int {
 	d.emit = d.emit[:0]
 	w, ok := d.dwt.Push(x)
 	if !ok {
 		return nil
 	}
+	// The float64 conversions round each square before the sum, as the
+	// batch windowed RMS does, so no platform fuses them into an FMA.
 	d.wbuf[0] = append(d.wbuf[0], w[1])
-	d.sumsq[0] += w[1] * w[1]
+	d.sumsq[0] += float64(w[1] * w[1])
 	d.wbuf[1] = append(d.wbuf[1], w[2])
-	d.sumsq[1] += w[2] * w[2]
+	d.sumsq[1] += float64(w[2] * w[2])
 	if len(d.wbuf[0]) == d.nextWin {
 		d.completeWindow()
 	}
@@ -167,12 +174,12 @@ func (d *StreamDetector) completeWindow() {
 	base := d.wbase
 	for k := 0; k < count; k++ {
 		zv := d.wbuf[0][k]/(thr1+1e-300) + d.wbuf[1][k]/(thr2+1e-300)
-		d.z[(base+k)%d.ring] = zv
-		zs += zv * zv
+		d.z[(base+k)&d.mask] = zv
+		zs += float64(zv * zv)
 	}
 	tz := math.Sqrt(zs / float64(count))
 	for k := 0; k < count; k++ {
-		d.thrZ[(base+k)%d.ring] = tz
+		d.thrZ[(base+k)&d.mask] = tz
 	}
 	d.zN = base + count
 	d.wbase = d.zN
@@ -190,12 +197,12 @@ func (d *StreamDetector) advance() {
 	for d.scan+1 < d.zN {
 		i := d.scan
 		d.scan++
-		v := d.z[i%d.ring]
-		if math.Abs(v) < d.c.ThresholdFactor*d.thrZ[i%d.ring] {
+		v := d.z[i&d.mask]
+		if math.Abs(v) < d.c.ThresholdFactor*d.thrZ[i&d.mask] {
 			continue
 		}
-		prev := d.z[(i-1)%d.ring]
-		next := d.z[(i+1)%d.ring]
+		prev := d.z[(i-1)&d.mask]
+		next := d.z[(i+1)&d.mask]
 		if (v > 0 && v >= prev && v > next) || (v < 0 && v <= prev && v < next) {
 			d.extremum(i, v)
 		}
@@ -223,11 +230,11 @@ func (d *StreamDetector) extremum(pos int, val float64) {
 // zeroCross is zeroCrossing over the detection-signal ring.
 func (d *StreamDetector) zeroCross(lo, hi int) int {
 	for i := lo; i < hi; i++ {
-		wi := d.z[i%d.ring]
+		wi := d.z[i&d.mask]
 		if wi == 0 {
 			return i
 		}
-		wn := d.z[(i+1)%d.ring]
+		wn := d.z[(i+1)&d.mask]
 		if (wi > 0) != (wn > 0) {
 			if math.Abs(wi) <= math.Abs(wn) {
 				return i

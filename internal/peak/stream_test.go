@@ -5,6 +5,7 @@ import (
 
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/sigdsp"
+	"rpbeat/internal/testutil"
 )
 
 // filteredRecord synthesizes a record and runs the batch front end, giving
@@ -87,6 +88,25 @@ func TestStreamDetectorRequiresSearchBackOff(t *testing.T) {
 	if _, err := NewStreamDetector(Config{Fs: 360}); err == nil {
 		t.Fatal("expected an error when search-back is enabled")
 	}
+}
+
+// Push runs once per sample on the serving path; after the first
+// threshold windows it must never allocate (peaks are emitted into a
+// reused slice).
+func TestStreamDetectorPushZeroAlloc(t *testing.T) {
+	x := filteredRecord(20, 9, 0.1)
+	d, err := NewStreamDetector(Config{Fs: 360, SearchBackOff: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range x {
+		d.Push(v) // grow the emit slice to its working size
+	}
+	testutil.AssertZeroAllocN(t, "StreamDetector.Push (a 20 s record per run)", 10, func() {
+		for _, v := range x {
+			d.Push(v)
+		}
+	})
 }
 
 func BenchmarkStreamDetectorPush(b *testing.B) {

@@ -160,7 +160,7 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	p.scr.Grow(emb)
 	// The ring must still hold sample max(0, peak-Before) when a peak
 	// finalizes, at worst Delay() samples after the peak position.
-	p.raw = make([]int32, nextPow2(p.Delay()+c.Before+c.After+64))
+	p.raw = make([]int32, sigdsp.RingSize(p.Delay()+c.Before+c.After+64))
 	p.rawMask = len(p.raw) - 1
 	return p, nil
 }
@@ -170,14 +170,6 @@ func dimAfter(n, downsample int) int {
 		return n
 	}
 	return (n + downsample - 1) / downsample
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Delay returns the worst-case latency, in input samples, between an R peak
@@ -243,8 +235,7 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 	p.out = p.out[:0]
 	p.raw[p.n&p.rawMask] = sample
 	p.n++
-	mv := float64(sample-p.cfg.ADCZero) / p.cfg.Gain
-	y, ok := p.filter.Push(mv)
+	y, ok := p.filter.Push(millivolts(sample, float64(p.cfg.ADCZero), p.cfg.Gain))
 	if !ok {
 		return nil
 	}
@@ -266,11 +257,11 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	p.out = p.out[:0]
 	raw, mask := p.raw, p.rawMask
-	zero, gain := p.cfg.ADCZero, p.cfg.Gain
+	zero, gain := float64(p.cfg.ADCZero), p.cfg.Gain
 	for _, v := range samples {
 		raw[p.n&mask] = v
 		p.n++
-		y, ok := p.filter.Push(float64(v-zero) / gain)
+		y, ok := p.filter.Push(millivolts(v, zero, gain))
 		if !ok {
 			continue
 		}
@@ -281,6 +272,14 @@ func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	if len(p.out) > 0 && emit != nil {
 		emit(p.out)
 	}
+}
+
+// millivolts converts one raw ADC count for the detection path. The
+// subtraction runs in float64, where it is exact for every int32 pair: an
+// int32 difference would wrap for samples within |zero| of either end of
+// the range and flip their sign.
+func millivolts(v int32, zero, gain float64) float64 {
+	return (float64(v) - zero) / gain
 }
 
 // Flush ends the stream, draining the detector's final threshold window and
@@ -401,8 +400,9 @@ func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, cf
 	}
 	s.mv = growFloat(s.mv, len(lead))
 	mv := s.mv[:len(lead)]
+	zero := float64(c.ADCZero)
 	for i, v := range lead {
-		mv[i] = float64(v-c.ADCZero) / c.Gain
+		mv[i] = millivolts(v, zero, c.Gain)
 	}
 	s.filtered = sigdsp.FilterECGInto(s.filtered, mv, c.Baseline, &s.filt)
 	peaks := peak.DetectInto(s.filtered, c.Peak, &s.det)

@@ -11,63 +11,94 @@ package sigdsp
 
 // StreamExtremum is a running windowed min or max over the last `length`
 // samples (Lemire's monotonic-wedge algorithm): O(1) amortized per sample
-// with at most `length` stored indices. The wedge lives in a fixed-capacity
-// ring deque, so steady-state Push never allocates — the property the whole
-// pipeline's zero-allocation hot path rests on (a plain slice deque would
-// shed front capacity at every pop and reallocate on append).
+// with at most `length` stored entries. The wedge keeps each entry's value
+// beside its absolute index in one power-of-two ring deque, addressed with
+// a mask through monotone head/tail counters: no sample buffer, no modulo,
+// and steady-state Push never allocates — the property the whole pipeline's
+// zero-allocation hot path rests on (a plain slice deque would shed front
+// capacity at every pop and reallocate on append).
 type StreamExtremum struct {
 	length  int
 	wantMax bool
-	buf     []float64 // ring buffer of the last `length` samples
-	idx     []int     // ring deque of absolute indices, capacity length+1
-	head    int       // deque front position in idx
-	count   int       // deque occupancy
-	n       int       // samples consumed
+	ring    []wedgeEntry // deque ring, len a power of two >= length+1
+	mask    int          // len(ring)-1
+	head    int          // deque front, as a monotone position (ring[head&mask])
+	tail    int          // one past the deque back; tail-head is the occupancy
+	n       int          // samples consumed
+}
+
+// wedgeEntry is one wedge sample: its absolute index and its value.
+type wedgeEntry struct {
+	i int
+	v float64
 }
 
 // NewStreamMax returns a running maximum over `length` samples.
-func NewStreamMax(length int) *StreamExtremum { return newStreamExtremum(length, true) }
+func NewStreamMax(length int) *StreamExtremum {
+	s := newStreamExtremum(length, true)
+	return &s
+}
 
 // NewStreamMin returns a running minimum over `length` samples.
-func NewStreamMin(length int) *StreamExtremum { return newStreamExtremum(length, false) }
+func NewStreamMin(length int) *StreamExtremum {
+	s := newStreamExtremum(length, false)
+	return &s
+}
 
-func newStreamExtremum(length int, wantMax bool) *StreamExtremum {
+func newStreamExtremum(length int, wantMax bool) StreamExtremum {
 	if length < 1 {
 		length = 1
 	}
-	return &StreamExtremum{
+	// The deque briefly holds length+1 entries: the new sample is appended
+	// before the expired front is dropped.
+	size := RingSize(length + 1)
+	return StreamExtremum{
 		length:  length,
 		wantMax: wantMax,
-		buf:     make([]float64, length),
-		idx:     make([]int, length+1),
+		ring:    make([]wedgeEntry, size),
+		mask:    size - 1,
 	}
 }
 
+// RingSize returns the smallest power of two >= n: the length of a ring
+// that holds n samples and is indexed by masking a monotone position with
+// RingSize(n)-1. Every delay line of the streaming front end is sized so,
+// which keeps the per-sample path free of modulo operations.
+func RingSize(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 // Push consumes one sample and returns the extremum of the trailing window
-// (shorter during warm-up).
+// (shorter during warm-up). Ties go to the newest sample: an equal back
+// entry is popped.
+//
+//rpbeat:allocfree
 func (s *StreamExtremum) Push(x float64) float64 {
-	s.buf[s.n%s.length] = x
-	// Pop dominated indices off the back of the wedge.
-	for s.count > 0 {
-		back := s.buf[s.idx[(s.head+s.count-1)%len(s.idx)]%s.length]
-		if s.wantMax {
-			if x < back {
-				break
-			}
-		} else if x > back {
-			break
+	ring, mask := s.ring, s.mask
+	head, tail := s.head, s.tail
+	// Pop dominated entries off the back of the wedge.
+	if s.wantMax {
+		for tail > head && !(x < ring[(tail-1)&mask].v) {
+			tail--
 		}
-		s.count--
+	} else {
+		for tail > head && !(x > ring[(tail-1)&mask].v) {
+			tail--
+		}
 	}
-	s.idx[(s.head+s.count)%len(s.idx)] = s.n
-	s.count++
+	ring[tail&mask] = wedgeEntry{i: s.n, v: x}
+	s.tail = tail + 1
 	// Expire the front once it leaves the window.
-	if s.idx[s.head] <= s.n-s.length {
-		s.head = (s.head + 1) % len(s.idx)
-		s.count--
+	if ring[head&mask].i <= s.n-s.length {
+		head++
 	}
+	s.head = head
 	s.n++
-	return s.buf[s.idx[s.head]%s.length]
+	return ring[head&mask].v
 }
 
 // Delay returns the number of samples by which the trailing-window output
@@ -80,26 +111,30 @@ func (s *StreamExtremum) Delay() int { return s.length / 2 }
 // i (in input coordinates) becomes available after Delay() further input
 // samples have arrived.
 type StreamMorph struct {
-	ex    *StreamExtremum
+	ex    StreamExtremum
 	right int // trailing window must extend this far past the center
-	n     int
 }
 
 // NewStreamErode returns a streaming erosion with a flat element of the
 // given length, aligned with Erode.
 func NewStreamErode(length int) *StreamMorph {
-	if length < 1 {
-		length = 1
-	}
-	return &StreamMorph{ex: newStreamExtremum(length, false), right: length - 1 - length/2}
+	m := newStreamMorph(length, false)
+	return &m
 }
 
 // NewStreamDilate returns a streaming dilation aligned with Dilate.
 func NewStreamDilate(length int) *StreamMorph {
+	m := newStreamMorph(length, true)
+	return &m
+}
+
+// newStreamMorph returns a dilation (wantMax) or erosion by value, for
+// stage arrays that hold their stages inline.
+func newStreamMorph(length int, wantMax bool) StreamMorph {
 	if length < 1 {
 		length = 1
 	}
-	return &StreamMorph{ex: newStreamExtremum(length, true), right: length - 1 - length/2}
+	return StreamMorph{ex: newStreamExtremum(length, wantMax), right: length - 1 - length/2}
 }
 
 // Delay returns how many input samples arrive before output sample 0.
@@ -111,71 +146,12 @@ func (m *StreamMorph) Delay() int { return m.right }
 // Delay() outputs (the batch version shrinks its window at the left border;
 // the stream has no access to "future" samples and therefore emits the
 // trailing-window result there).
+//
+//rpbeat:allocfree
 func (m *StreamMorph) Push(x float64) (float64, bool) {
 	v := m.ex.Push(x)
-	m.n++
-	if m.n <= m.right {
+	if m.ex.n <= m.right {
 		return 0, false
 	}
 	return v, true
-}
-
-// StreamFilter chains the complete morphological front end (noise
-// suppression + baseline removal) as a fixed-latency stream. It composes
-// the four cascaded opening/closing stages; the total latency is the sum of
-// the stage delays.
-type StreamFilter struct {
-	stages []*StreamMorph
-	// rawDelay delays the input so the final subtraction x - baseline
-	// aligns with the cascade's group delay.
-	rawDelay []float64
-	rawPos   int
-	total    int
-}
-
-// NewStreamFilter builds the streaming front end for cfg. The current
-// implementation mirrors RemoveBaseline (opening then closing); streaming
-// noise suppression would add the dual chain and an averaging stage, which
-// block processing covers in this repository.
-func NewStreamFilter(cfg BaselineConfig) *StreamFilter {
-	openL := cfg.openLen()
-	closeL := cfg.closeLen()
-	stages := []*StreamMorph{
-		NewStreamErode(openL), NewStreamDilate(openL),
-		NewStreamDilate(closeL), NewStreamErode(closeL),
-	}
-	total := 0
-	for _, s := range stages {
-		total += s.Delay()
-	}
-	return &StreamFilter{
-		stages:   stages,
-		rawDelay: make([]float64, total+1),
-		total:    total,
-	}
-}
-
-// Delay returns the filter's group delay in samples.
-func (f *StreamFilter) Delay() int { return f.total }
-
-// Push consumes one raw sample and, once the pipeline is primed, emits one
-// baseline-removed sample (aligned to input index n - Delay()).
-func (f *StreamFilter) Push(x float64) (float64, bool) {
-	// Delay the raw signal by the cascade latency.
-	f.rawDelay[f.rawPos%len(f.rawDelay)] = x
-	delayedIdx := f.rawPos - f.total
-	f.rawPos++
-
-	v, ok := x, true
-	for _, s := range f.stages {
-		v, ok = s.Push(v)
-		if !ok {
-			return 0, false
-		}
-	}
-	if delayedIdx < 0 {
-		return 0, false
-	}
-	raw := f.rawDelay[delayedIdx%len(f.rawDelay)]
-	return raw - v, true
 }

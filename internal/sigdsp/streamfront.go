@@ -3,9 +3,14 @@ package sigdsp
 // Streaming versions of the two remaining batch front-end operators: the
 // complete ECG filter (noise suppression + baseline removal, the software
 // equivalent of FilterECG) and the à trous dyadic wavelet transform that
-// feeds R-peak detection. Together with StreamMorph/StreamFilter these make
-// the entire sub-system (1) front end runnable one ADC sample at a time
-// with bounded memory — the substrate of internal/pipeline.
+// feeds R-peak detection. Together with StreamMorph these make the entire
+// sub-system (1) front end runnable one ADC sample at a time with bounded
+// memory — the substrate of internal/pipeline.
+//
+// Layout: every stage is held by value (the twelve morphology stages as
+// three [4]StreamMorph arrays, the wavelet levels as one slice of values)
+// and every delay line is a power-of-two ring indexed with a mask, so a
+// Push runs no modulo and follows no per-stage pointer.
 //
 // Bit-identity contract: every operator here reproduces its batch
 // counterpart exactly — including the left signal border, where the batch
@@ -25,14 +30,16 @@ type StreamECGFilter struct {
 	// Noise suppression: two parallel 4-stage chains over the same input.
 	// oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
 	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate.
-	oc, co []*StreamMorph
+	oc, co [4]StreamMorph
 	// Baseline estimation over the suppressed signal:
 	// Close(Open(y,openLen),closeLen) = Erode,Dilate (open) then
 	// Dilate,Erode (close).
-	base []*StreamMorph
+	base [4]StreamMorph
 	// supRing delays the suppressed signal by the baseline-cascade delay so
-	// the subtraction y - baseline is index-aligned.
+	// the subtraction y - baseline is index-aligned; its length is a power
+	// of two, indexed with supMask.
 	supRing []float64
+	supMask int
 	supN    int
 	baseDel int
 	total   int
@@ -43,28 +50,29 @@ func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 	k := oddAtLeast(cfg.NoiseElem, 3)
 	openL, closeL := cfg.openLen(), cfg.closeLen()
 	f := &StreamECGFilter{
-		oc: []*StreamMorph{
-			NewStreamErode(k), NewStreamDilate(k),
-			NewStreamDilate(k), NewStreamErode(k),
+		oc: [4]StreamMorph{
+			newStreamMorph(k, false), newStreamMorph(k, true),
+			newStreamMorph(k, true), newStreamMorph(k, false),
 		},
-		co: []*StreamMorph{
-			NewStreamDilate(k), NewStreamErode(k),
-			NewStreamErode(k), NewStreamDilate(k),
+		co: [4]StreamMorph{
+			newStreamMorph(k, true), newStreamMorph(k, false),
+			newStreamMorph(k, false), newStreamMorph(k, true),
 		},
-		base: []*StreamMorph{
-			NewStreamErode(openL), NewStreamDilate(openL),
-			NewStreamDilate(closeL), NewStreamErode(closeL),
+		base: [4]StreamMorph{
+			newStreamMorph(openL, false), newStreamMorph(openL, true),
+			newStreamMorph(closeL, true), newStreamMorph(closeL, false),
 		},
 	}
-	for _, s := range f.base {
-		f.baseDel += s.Delay()
+	for i := range f.base {
+		f.baseDel += f.base[i].Delay()
 	}
 	noiseDel := 0
-	for _, s := range f.oc {
-		noiseDel += s.Delay()
+	for i := range f.oc {
+		noiseDel += f.oc[i].Delay()
 	}
 	f.total = noiseDel + f.baseDel
-	f.supRing = make([]float64, f.baseDel+1)
+	f.supRing = make([]float64, RingSize(f.baseDel+1))
+	f.supMask = len(f.supRing) - 1
 	return f
 }
 
@@ -72,11 +80,15 @@ func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 // once input sample i+Delay() has been consumed.
 func (f *StreamECGFilter) Delay() int { return f.total }
 
-func pushChain(stages []*StreamMorph, x float64) (float64, bool) {
-	v, ok := x, true
-	for _, s := range stages {
-		v, ok = s.Push(v)
-		if !ok {
+// pushChain feeds x through one 4-stage chain. A stage that is still
+// filling ends the chain for this sample.
+//
+//rpbeat:allocfree
+func pushChain(stages *[4]StreamMorph, x float64) (float64, bool) {
+	v := x
+	for i := range stages {
+		var ok bool
+		if v, ok = stages[i].Push(v); !ok {
 			return 0, false
 		}
 	}
@@ -85,23 +97,24 @@ func pushChain(stages []*StreamMorph, x float64) (float64, bool) {
 
 // Push consumes one raw sample and, once the cascade is primed, emits one
 // filtered sample (aligned to input index n - Delay()).
+//
+//rpbeat:allocfree
 func (f *StreamECGFilter) Push(x float64) (float64, bool) {
-	a, okA := pushChain(f.oc, x)
-	b, okB := pushChain(f.co, x)
+	a, okA := pushChain(&f.oc, x)
+	b, okB := pushChain(&f.co, x)
 	if !okA || !okB { // the chains share stage lengths, so okA == okB
 		return 0, false
 	}
 	sup := 0.5 * (a + b)
 
 	m := f.supN
-	f.supRing[m%len(f.supRing)] = sup
+	f.supRing[m&f.supMask] = sup
 	f.supN++
-	bl, ok := pushChain(f.base, sup)
+	bl, ok := pushChain(&f.base, sup)
 	if !ok {
 		return 0, false
 	}
-	i := m - f.baseDel
-	return f.supRing[i%len(f.supRing)] - bl, true
+	return f.supRing[(m-f.baseDel)&f.supMask] - bl, true
 }
 
 // streamDWTLevel computes one à trous level as a stream: given the level's
@@ -111,45 +124,66 @@ func (f *StreamECGFilter) Push(x float64) (float64, bool) {
 // border is never reached by a stream).
 type streamDWTLevel struct {
 	gap, half int
-	buf       []float64
+	buf       []float64 // the last 4*gap inputs, indexed with mask
+	mask      int
 	n         int // input samples consumed
 	out       int // next output index
 	first     float64
 	hasFirst  bool
+
+	// fifo holds the detail samples this level has produced but StreamDWT
+	// has not yet emitted, because the deeper (slower) levels have not
+	// caught up: a power-of-two ring between monotone counters.
+	fifo     []float64
+	fifoMask int
+	fifoHead int
+	fifoTail int
 }
 
-func newStreamDWTLevel(level int) *streamDWTLevel {
+// newStreamDWTLevel builds level `level`; lag is the total delay of the
+// deeper levels, which bounds how far this level's output runs ahead of
+// the aligned output.
+func newStreamDWTLevel(level, lag int) streamDWTLevel {
 	gap := 1 << level
-	return &streamDWTLevel{gap: gap, half: gap / 2, buf: make([]float64, 4*gap)}
+	fifo := make([]float64, RingSize(lag+1))
+	return streamDWTLevel{
+		gap: gap, half: gap / 2,
+		buf: make([]float64, 4*gap), mask: 4*gap - 1,
+		fifo: fifo, fifoMask: len(fifo) - 1,
+	}
 }
 
 // delay returns how many extra inputs must arrive before output i exists.
 func (l *streamDWTLevel) delay() int { return l.half + 2*l.gap }
 
+// push consumes one approximation sample. The oldest input it reads is
+// index out+half-gap = n-1-3*gap, so the 4*gap buffer always holds it;
+// only that tap can fall left of the signal, where it replicates a[0].
+//
+//rpbeat:allocfree
 func (l *streamDWTLevel) push(a float64) (w, next float64, ok bool) {
 	if !l.hasFirst {
 		l.first, l.hasFirst = a, true
 	}
-	l.buf[l.n%len(l.buf)] = a
+	buf, mask := l.buf, l.mask
+	buf[l.n&mask] = a
 	l.n++
 
-	i := l.out
-	if i+l.half+2*l.gap >= l.n {
+	c := l.out + l.half
+	if c+2*l.gap >= l.n {
 		return 0, 0, false
 	}
-	at := func(j int) float64 {
-		if j < 0 {
-			return l.first
-		}
-		return l.buf[j%len(l.buf)]
+	am := l.first
+	if j := c - l.gap; j >= 0 {
+		am = buf[j&mask]
 	}
-	am := at(i + l.half - l.gap)
-	a0 := at(i + l.half)
-	ap := at(i + l.half + l.gap)
-	app := at(i + l.half + 2*l.gap)
+	a0 := buf[c&mask]
+	ap := buf[(c+l.gap)&mask]
+	app := buf[(c+2*l.gap)&mask]
 	l.out++
-	// Same expressions as AtrousDWT (recentered by half up front).
-	return 2 * (ap - a0), (am + 3*a0 + 3*ap + app) / 8, true
+	// Same expressions as AtrousDWT (recentered by half up front); the
+	// float64 conversions round each product, so no platform fuses them.
+	return 2 * (ap - a0), (am + float64(3*a0) + float64(3*ap) + app) / 8, true
 }
 
 // StreamDWT is the streaming à trous transform: it consumes one input sample
@@ -158,13 +192,8 @@ func (l *streamDWTLevel) push(a float64) (w, next float64, ok bool) {
 // AtrousDWT(x, levels').W[j][i] for any levels' >= levels (deeper levels do
 // not affect shallower ones).
 type StreamDWT struct {
-	levels []*streamDWTLevel
-	// fifo[j] holds detail samples level j has produced but that are not yet
-	// aligned with the deeper (slower) levels; head[j] is its logical front.
-	fifo [][]float64
-	head []int
-	out  []float64
-	n    int // aligned output samples emitted
+	levels []streamDWTLevel
+	out    []float64
 }
 
 // NewStreamDWT builds a streaming transform with the given number of detail
@@ -174,13 +203,13 @@ func NewStreamDWT(levels int) *StreamDWT {
 		levels = 1
 	}
 	d := &StreamDWT{
-		levels: make([]*streamDWTLevel, levels),
-		fifo:   make([][]float64, levels),
-		head:   make([]int, levels),
+		levels: make([]streamDWTLevel, levels),
 		out:    make([]float64, levels),
 	}
-	for j := range d.levels {
-		d.levels[j] = newStreamDWTLevel(j)
+	lag := 0
+	for j := levels - 1; j >= 0; j-- {
+		d.levels[j] = newStreamDWTLevel(j, lag)
+		lag += d.levels[j].delay()
 	}
 	return d
 }
@@ -189,8 +218,8 @@ func NewStreamDWT(levels int) *StreamDWT {
 // available once input sample i+Delay() has been consumed.
 func (d *StreamDWT) Delay() int {
 	total := 0
-	for _, l := range d.levels {
-		total += l.delay()
+	for j := range d.levels {
+		total += d.levels[j].delay()
 	}
 	return total
 }
@@ -198,33 +227,30 @@ func (d *StreamDWT) Delay() int {
 // Push consumes one input sample. Once all levels have produced detail
 // sample i it returns the slice [W0[i], W1[i], ...] and true. The returned
 // slice is reused by the next call; copy it to retain.
+//
+//rpbeat:allocfree
 func (d *StreamDWT) Push(x float64) ([]float64, bool) {
+	levels := d.levels
 	v := x
-	for j, l := range d.levels {
+	for j := range levels {
+		l := &levels[j]
 		w, next, ok := l.push(v)
 		if !ok {
 			break
 		}
-		d.fifo[j] = append(d.fifo[j], w)
+		l.fifo[l.fifoTail&l.fifoMask] = w
+		l.fifoTail++
 		v = next
 	}
-	for j := range d.levels {
-		if d.head[j] >= len(d.fifo[j]) {
-			return nil, false
-		}
+	// Each level consumes the previous one's output, so the deepest level
+	// is the last to produce sample i: once it has, every level has.
+	if last := &levels[len(levels)-1]; last.fifoHead == last.fifoTail {
+		return nil, false
 	}
-	for j := range d.levels {
-		d.out[j] = d.fifo[j][d.head[j]]
-		d.head[j]++
-		// Compact drained FIFOs so they stay bounded.
-		if d.head[j] == len(d.fifo[j]) {
-			d.fifo[j] = d.fifo[j][:0]
-			d.head[j] = 0
-		} else if d.head[j] > 64 {
-			d.fifo[j] = append(d.fifo[j][:0], d.fifo[j][d.head[j]:]...)
-			d.head[j] = 0
-		}
+	for j := range levels {
+		l := &levels[j]
+		d.out[j] = l.fifo[l.fifoHead&l.fifoMask]
+		l.fifoHead++
 	}
-	d.n++
 	return d.out, true
 }

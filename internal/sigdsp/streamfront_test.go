@@ -3,6 +3,8 @@ package sigdsp
 import (
 	"math"
 	"testing"
+
+	"rpbeat/internal/testutil"
 )
 
 // noisyECGLike builds a deterministic test signal with ECG-like structure:
@@ -54,7 +56,7 @@ func TestStreamECGFilterMatchesFilterECG(t *testing.T) {
 
 func TestStreamDWTMatchesAtrousDWT(t *testing.T) {
 	x := noisyECGLike(3000)
-	for _, levels := range []int{1, 3, 4} {
+	for _, levels := range []int{1, 3, 4, 6} {
 		batch := AtrousDWT(x, levels)
 		d := NewStreamDWT(levels)
 		emitted := 0
@@ -99,6 +101,22 @@ func TestStreamDWTPrefixOfDeeperBatch(t *testing.T) {
 	if emitted == 0 {
 		t.Fatal("nothing emitted")
 	}
+}
+
+// The streaming operators run once per ADC sample on the serving path:
+// after construction they must never allocate.
+func TestStreamFrontendPushZeroAlloc(t *testing.T) {
+	x := noisyECGLike(4096)
+	f := NewStreamECGFilter(DefaultBaselineConfig(360))
+	d := NewStreamDWT(3)
+	i := 0
+	testutil.AssertZeroAllocN(t, "StreamECGFilter.Push + StreamDWT.Push (4096 samples per run)", 10, func() {
+		for range x {
+			y, _ := f.Push(x[i&4095])
+			d.Push(y)
+			i++
+		}
+	})
 }
 
 func BenchmarkStreamECGFilterPush(b *testing.B) {

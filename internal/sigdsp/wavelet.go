@@ -97,8 +97,10 @@ func AtrousDWTInto(d *DWT, x []float64, levels int) {
 			// samples otherwise).
 			c := minInt(i+half, n-1)
 			w[i] = 2 * (at(approx, c+gap) - at(approx, c))
-			next[i] = (at(approx, c-gap) + 3*at(approx, c) +
-				3*at(approx, c+gap) + at(approx, c+2*gap)) / 8
+			// The float64 conversions round each product, so no platform
+			// fuses them into an FMA (StreamDWT evaluates the same form).
+			next[i] = (at(approx, c-gap) + float64(3*at(approx, c)) +
+				float64(3*at(approx, c+gap)) + at(approx, c+2*gap)) / 8
 		}
 		approx, next = next, approx
 	}
@@ -234,7 +236,7 @@ func RMS(x []float64) float64 {
 	}
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v) // rounded square: no FMA on any platform
 	}
 	return math.Sqrt(s / float64(len(x)))
 }
