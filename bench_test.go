@@ -4,7 +4,9 @@ package rpbeat
 // plus micro-benchmarks of the per-beat and per-second kernels the run-time
 // analysis (Table III) models. The experiment benchmarks regenerate their
 // result at a reduced dataset scale and GA budget so `go test -bench=.`
-// terminates in minutes; `cmd/rpbench` runs the same drivers at full scale.
+// terminates in minutes; `cmd/rpbench -experiment` runs the same drivers at
+// full scale. The kernel benchmarks are the go test homes of the kernel rows
+// of the historical BENCH_<n>.json snapshots (see BENCHMARKS.md).
 
 import (
 	"context"
@@ -173,47 +175,37 @@ func BenchmarkAblation_DownsampleSweep(b *testing.B) {
 // --- Micro-benchmarks of the node kernels (the quantities the Table III
 // cost model prices) ---
 
-func BenchmarkKernel_ProjectionPacked_8x50(b *testing.B) {
+// projector is the integer projection kernel every matrix representation
+// implements.
+type projector interface{ ProjectIntInto(v, u []int32) }
+
+// benchmarkProjection times one k×50 projection of a 50-sample window in
+// the representation build makes from the random ±1 matrix.
+func benchmarkProjection(b *testing.B, k int, build func(*rp.Matrix) projector) {
 	r := rng.New(1)
-	m := rp.Pack(rp.NewRandom(r, 8, 50))
+	m := build(rp.NewRandom(r, k, 50))
 	v := make([]int32, 50)
 	for i := range v {
 		v[i] = int32(r.Intn(2048))
 	}
-	u := make([]int32, 8)
+	u := make([]int32, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ProjectIntInto(v, u)
 	}
 }
 
-func BenchmarkKernel_ProjectionDense_8x50(b *testing.B) {
-	r := rng.New(1)
-	m := rp.NewRandom(r, 8, 50)
-	v := make([]int32, 50)
-	for i := range v {
-		v[i] = int32(r.Intn(2048))
-	}
-	u := make([]int32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ProjectIntInto(v, u)
-	}
-}
+func packed(m *rp.Matrix) projector { return rp.Pack(m) }
+func dense(m *rp.Matrix) projector  { return m }
+func sparse(m *rp.Matrix) projector { return rp.NewSparse(m) }
 
-func BenchmarkKernel_ProjectionSparse_8x50(b *testing.B) {
-	r := rng.New(1)
-	m := rp.NewSparse(rp.NewRandom(r, 8, 50))
-	v := make([]int32, 50)
-	for i := range v {
-		v[i] = int32(r.Intn(2048))
-	}
-	u := make([]int32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ProjectIntInto(v, u)
-	}
-}
+// The paper configuration (k=8) and the largest Table II one (k=32).
+func BenchmarkKernel_ProjectionPacked_8x50(b *testing.B)  { benchmarkProjection(b, 8, packed) }
+func BenchmarkKernel_ProjectionDense_8x50(b *testing.B)   { benchmarkProjection(b, 8, dense) }
+func BenchmarkKernel_ProjectionSparse_8x50(b *testing.B)  { benchmarkProjection(b, 8, sparse) }
+func BenchmarkKernel_ProjectionPacked_32x50(b *testing.B) { benchmarkProjection(b, 32, packed) }
+func BenchmarkKernel_ProjectionDense_32x50(b *testing.B)  { benchmarkProjection(b, 32, dense) }
+func BenchmarkKernel_ProjectionSparse_32x50(b *testing.B) { benchmarkProjection(b, 32, sparse) }
 
 // BenchmarkKernel_PipelinePushSteadyState measures the per-sample cost of
 // the full online pipeline after warm-up. allocs/op must be 0 — the

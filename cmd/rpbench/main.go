@@ -1,13 +1,11 @@
 // Command rpbench regenerates every table and figure of the paper's
-// evaluation section from the synthetic database, and (with -json) runs the
-// machine-readable kernel/serving benchmark suite.
+// evaluation section from the synthetic database.
 //
 // Usage:
 //
 //	rpbench -experiment all                 # everything, full scale (slow)
 //	rpbench -experiment table2 -scale 0.1   # one experiment, reduced data
 //	rpbench -experiment fig5 -pop 8 -gen 10 # reduced GA budget
-//	rpbench -json                           # write BENCH_<n>.json (see BENCHMARKS.md)
 //
 // Experiments: table1, table2, table3, fig4, fig5, energy, ga, downsample,
 // alpha, record, heads, all.
@@ -35,7 +33,7 @@ var experimentNames = []string{
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
-		"usage: rpbench [-json [-out dir]] [-experiment name] [options]\n\nexperiments: %s, all\n\noptions:\n",
+		"usage: rpbench [-experiment name] [options]\n\nexperiments: %s, all\n\noptions:\n",
 		strings.Join(experimentNames, ", "))
 	flag.PrintDefaults()
 }
@@ -50,8 +48,6 @@ func main() {
 		minARR   = flag.Float64("minarr", 0.97, "minimum abnormal recognition rate constraint")
 		seed     = flag.Uint64("seed", 0, "experiment seed (0 = default)")
 		parallel = flag.Int("parallel", 0, "worker goroutines (0 = NumCPU)")
-		jsonOut  = flag.Bool("json", false, "run the kernel/serving benchmark suite and write BENCH_<n>.json")
-		outDir   = flag.String("out", ".", "directory BENCH_<n>.json is written to (with -json)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -62,37 +58,6 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// The experiment flags mean nothing to -json (and vice versa for -out):
-	// reject the combination instead of silently ignoring half the line.
-	experimentOnly := map[string]bool{
-		"experiment": true, "scale": true, "pop": true, "gen": true,
-		"scg": true, "minarr": true, "seed": true, "parallel": true,
-	}
-	var conflict string
-	flag.Visit(func(f *flag.Flag) {
-		switch {
-		case *jsonOut && experimentOnly[f.Name]:
-			conflict = "-" + f.Name + " has no effect with -json"
-		case !*jsonOut && f.Name == "out":
-			conflict = "-out has no effect without -json"
-		}
-	})
-	if conflict != "" {
-		fmt.Fprintf(os.Stderr, "rpbench: %s\n\n", conflict)
-		usage()
-		os.Exit(2)
-	}
-
-	if *jsonOut {
-		path, err := runJSONBench(*outDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return
-	}
-
 	want := strings.ToLower(*exp)
 	if want != "all" {
 		known := false

@@ -27,8 +27,7 @@
 // the ring successor, replays the journal tail, suppresses beats the client
 // already has, and resumes live. With the default -failover-window (the
 // deterministic-resync warm-up bound) the post-failover beats are
-// bit-identical to an uninterrupted run; -failover-window -1 restores the
-// old surface-the-error behavior.
+// bit-identical to an uninterrupted run.
 //
 // Shutdown is graceful: SIGINT/SIGTERM stop the listener, in-flight relays
 // get -drain to finish (backends keep their streams), then the gateway
@@ -57,7 +56,7 @@ func main() {
 		interval  = flag.Duration("health-interval", gate.DefaultHealthInterval, "backend health/catalog probe cadence")
 		timeout   = flag.Duration("health-timeout", 2*time.Second, "per-probe timeout")
 		failAfter = flag.Int("fail-after", 2, "consecutive transport failures before a backend leaves rotation")
-		failover  = flag.Int("failover-window", 0, "replay-journal depth in samples for transparent mid-stream failover (0 = resync warm-up bound, negative = disable failover)")
+		failover  = flag.Int("failover-window", 0, "replay-journal depth in samples for transparent mid-stream failover (0 = resync warm-up bound)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	)
 	var backends []string

@@ -11,9 +11,9 @@
 // paper-vs-measured record of every table and figure.
 //
 // The benchmarks in bench_test.go regenerate each experiment at a reduced
-// scale; cmd/rpbench regenerates them at full scale, and its -json mode
-// writes the BENCH_<n>.json performance snapshots described in
-// BENCHMARKS.md. The memory/speed trade between the three projection-matrix
+// scale; cmd/rpbench regenerates them at full scale. The serving benchmark
+// of record is perfbench/ (see BENCHMARK.json and perfbench/README.md).
+// The memory/speed trade between the three projection-matrix
 // layouts (dense int8, 2-bit packed, sparse index lists) is laid out in
 // DESIGN.md's "kernel memory layouts" section.
 package rpbeat

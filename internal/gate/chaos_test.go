@@ -1,12 +1,11 @@
 package gate
 
 // Chaos suite for the gateway tier: backends die mid-stream, the pool
-// membership changes under live traffic, and the contract must hold. With
-// failover enabled (the default) a backend death is invisible — victim
-// streams continue on a successor with no error line, no lost or duplicated
-// beat, and a done line accounting for the whole record. With FailoverWindow
-// < 0 the legacy contract applies: every affected stream ends with a typed
-// NDJSON error line (never a hang, never a torn line). Either way,
+// membership changes under live traffic, and the contract must hold. A
+// backend death is invisible — victim streams continue on a successor with
+// no error line, no lost or duplicated beat, and a done line accounting for
+// the whole record. With no successor left, every affected stream ends with
+// a typed NDJSON error line (never a hang, never a torn line). Either way,
 // unaffected streams are beat-for-beat identical to a direct-to-backend run
 // and a full-stack Close leaks no goroutines. Run under -race.
 
@@ -277,17 +276,17 @@ func TestChaosBackendKillMidStream(t *testing.T) {
 	waitGoroutines(t, baseline+2)
 }
 
-// TestChaosBackendKillFailoverDisabled pins the legacy contract: with
-// FailoverWindow < 0 the journal layer is bypassed entirely and a backend
-// death surfaces as the trailing typed retryable error line of the plain
-// relay path — every received line parses, nothing hangs, nothing is torn.
-func TestChaosBackendKillFailoverDisabled(t *testing.T) {
-	s := newGateStack(t, 3, serve.HandlerConfig{}, Config{FailAfter: 1, FailoverWindow: -1})
+// TestChaosBackendKillNoSuccessor kills the only backend under live
+// streams: with no successor to fail over to, the relay must end each
+// stream with a typed retryable error line — every received line parses,
+// nothing hangs, nothing is torn, and no failover is counted.
+func TestChaosBackendKillNoSuccessor(t *testing.T) {
+	s := newGateStack(t, 1, serve.HandlerConfig{}, Config{FailAfter: 1})
 	defer s.Close()
 	s.gw.CheckNow(context.Background())
 
 	frame := mustFrame(t, testLead(10, 21))
-	victim := s.backends[2]
+	victim := s.backends[0]
 
 	var victims []*liveStream
 	for _, id := range keysOwnedBy(t, s, victim.ts.URL, 2) {
@@ -321,7 +320,7 @@ func TestChaosBackendKillFailoverDisabled(t *testing.T) {
 			t.Fatalf("victim %d: mid-stream loss must be retryable, got %q", i, last.Code)
 		}
 		if s.gw.Status().Failovers != 0 {
-			t.Fatalf("failovers counted with failover disabled")
+			t.Fatalf("failovers counted with no successor to fail over to")
 		}
 		ls.resp.Body.Close()
 		ls.pw.Close()

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"rpbeat/internal/apierr"
+	"rpbeat/internal/httpconn"
 	"rpbeat/internal/wire"
 )
 
@@ -51,9 +52,8 @@ const maxRelayLineBytes = 8 << 20
 
 var errAttemptSuperseded = errors.New("gate: relay attempt superseded by failover")
 
-// relayStream is the stream relay path with transparent failover. It
-// replaces relayTo for POST /v1/stream whenever Config.FailoverWindow is
-// not negative.
+// relayStream is the relay path of POST /v1/stream, with transparent
+// failover.
 func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend) {
 	select {
 	case <-g.closed:
@@ -88,7 +88,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 		j.close()
 		if body.stop() {
 			rc.SetReadDeadline(time.Now())
-			closeAfterReply(w)
+			httpconn.CloseAfterReply(w)
 		}
 		pump.Wait()
 	}()
@@ -251,24 +251,6 @@ func (b *uplinkBody) stop() (blocked bool) {
 	defer b.mu.Unlock()
 	b.stopped = true
 	return b.reading
-}
-
-// closeAfterReply makes net/http close the client connection once the
-// current response is complete instead of reading another request from it.
-// An overflowing MaxBytesReader is net/http's one public lever for that: it
-// marks the response close-after-reply (and sends Connection: close if the
-// header is not written yet). The lever needs the server's own
-// ResponseWriter, so wrappers are unwrapped first.
-func closeAfterReply(w http.ResponseWriter) {
-	for {
-		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
-		if !ok {
-			break
-		}
-		w = u.Unwrap()
-	}
-	var one [1]byte
-	http.MaxBytesReader(w, io.NopCloser(bytes.NewReader(one[:])), 0).Read(one[:])
 }
 
 // failoverSuccessor resolves where a torn stream resumes: the next routable

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"rpbeat/internal/faultinject"
 	"rpbeat/internal/pipeline"
@@ -44,7 +45,7 @@ func (f *streamFaulter) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // binaryChunks encodes lead as consecutive binary frames of per samples.
-func binaryChunks(t *testing.T, lead []int32, per int) []byte {
+func binaryChunks(t testing.TB, lead []int32, per int) []byte {
 	t.Helper()
 	var out []byte
 	for i := 0; i < len(lead); i += per {
@@ -60,7 +61,7 @@ func binaryChunks(t *testing.T, lead []int32, per int) []byte {
 
 // postStream runs one whole /v1/stream request and returns the full NDJSON
 // response body.
-func postStream(t *testing.T, client *http.Client, url, ct string, body []byte) []byte {
+func postStream(t testing.TB, client *http.Client, url, ct string, body []byte) []byte {
 	t.Helper()
 	resp, err := client.Post(url+"/v1/stream", ct, bytes.NewReader(body))
 	if err != nil {
@@ -193,31 +194,108 @@ func TestGateFailoverResyncBitIdentity(t *testing.T) {
 	}
 }
 
-// TestJournalAppendZeroAlloc pins the tentpole's hot-path invariant: a
-// steady-state journal append — cursor following, watermark advancing,
-// evicted arena space recycling — allocates nothing.
-func TestJournalAppendZeroAlloc(t *testing.T) {
-	j := newJournal(100)
+// BenchmarkFailoverBlackout streams one 30 s record through a 3-backend
+// gateway whose first stream connection is killed half way down the
+// reference body, and reports the longest gap between downlink reads as
+// blackout_ms: the client-visible silence that failure detection,
+// reopening on the ring successor, journal replay and beat dedup cost.
+func BenchmarkFailoverBlackout(b *testing.B) {
+	lead := testLead(30, 41)
+	body := binaryChunks(b, lead, 360)
+	s := newGateStack(b, 3, serve.HandlerConfig{}, Config{})
+	defer s.Close()
+	s.gw.CheckNow(context.Background())
+	ref := postStream(b, s.backends[0].ts.Client(), s.backends[0].ts.URL, wire.ContentTypeSamples, body)
+
+	buf := make([]byte, relayBufBytes)
+	var total time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.gw.CheckNow(context.Background()) // the killed backend rejoins
+		s.gw.client = &http.Client{Transport: &streamFaulter{inner: &faultinject.Transport{
+			Downlink: []faultinject.Fault{{Kind: faultinject.KillAfterBytes, AtByte: int64(len(ref) / 2)}},
+			Times:    1,
+		}}}
+		failovers := s.gw.Status().Failovers
+		b.StartTimer()
+
+		resp, err := s.ts.Client().Post(s.ts.URL+"/v1/stream", wire.ContentTypeSamples, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var blackout time.Duration
+		got, last := 0, time.Now()
+		for {
+			n, err := resp.Body.Read(buf)
+			if n > 0 {
+				now := time.Now()
+				blackout = max(blackout, now.Sub(last))
+				last = now
+				got += n
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		resp.Body.Close()
+		if s.gw.Status().Failovers == failovers {
+			b.Fatal("stream completed without the injected failover firing")
+		}
+		if got != len(ref) {
+			b.Fatalf("failover body %d bytes, direct run %d", got, len(ref))
+		}
+		total += blackout
+	}
+	b.ReportMetric(float64(total)/float64(time.Millisecond)/float64(b.N), "blackout_ms")
+}
+
+// steadyJournal returns one steady-state replay-journal cycle — append a
+// 36-sample uplink unit, sender copy-out, delivery ack — on a journal with
+// the given retention window, warmed until its arena and entry ring reach
+// their recycled fixed point.
+func steadyJournal(tb testing.TB, window int) func() {
+	j := newJournal(window)
 	gen, _ := j.resetForAttempt()
 	raw := bytes.Repeat([]byte{7}, 140)
 	buf := make([]byte, 0, 256)
 	var total int64
 	step := func() {
 		if !j.append(raw, 36) {
-			t.Fatal("append refused on a live journal")
+			tb.Fatal("append refused on a live journal")
 		}
 		total += 36
 		var ok bool
-		buf, ok = j.next(gen, buf)
-		if !ok {
-			t.Fatal("next refused on a live journal")
+		if buf, ok = j.next(gen, buf); !ok {
+			tb.Fatal("next refused on a live journal")
 		}
 		j.ack(total)
 	}
 	for i := 0; i < 200; i++ {
-		step() // grow arena and entry ring to steady state
+		step()
 	}
-	testutil.AssertZeroAlloc(t, "journal.append", step)
+	return step
+}
+
+// BenchmarkJournalStep times steadyJournal's cycle at the default retention
+// window: the per-unit cost failover adds to the relay.
+func BenchmarkJournalStep(b *testing.B) {
+	step := steadyJournal(b, pipeline.ResyncWarmup(pipeline.Config{}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestJournalAppendZeroAlloc pins the tentpole's hot-path invariant: a
+// steady-state journal append — cursor following, watermark advancing,
+// evicted arena space recycling — allocates nothing.
+func TestJournalAppendZeroAlloc(t *testing.T) {
+	testutil.AssertZeroAlloc(t, "journal.append", steadyJournal(t, 100))
 }
 
 // TestJournalRetentionAnchorsToAcks pins the eviction rule: whatever the

@@ -49,8 +49,7 @@ type Config struct {
 	// (failover.go). 0 selects the deterministic-resync bound —
 	// pipeline.ResyncWarmup of the default pipeline, the replay depth that
 	// makes post-failover beats bit-identical to an uninterrupted run.
-	// Negative disables failover: backend death then surfaces as the
-	// trailing typed error line of the plain relay path.
+	// Negative is an error.
 	FailoverWindow int
 	// Client overrides the backend-side HTTP client (default: a dedicated
 	// one with an unbounded per-host connection pool).
@@ -107,7 +106,7 @@ type Gateway struct {
 	timeout        time.Duration
 	failAfter      int
 	maxUpload      int64
-	failoverWindow int // replay journal depth in samples; -1 = failover off
+	failoverWindow int // replay journal depth in samples
 	client         *http.Client
 	ownsClient     bool
 
@@ -155,17 +154,21 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gate: at least one backend required")
 	}
+	if cfg.FailoverWindow < 0 {
+		return nil, fmt.Errorf("gate: negative failover window %d", cfg.FailoverWindow)
+	}
 	g := &Gateway{
-		replicas:  cfg.Replicas,
-		interval:  cfg.HealthInterval,
-		runLoop:   cfg.HealthInterval >= 0,
-		timeout:   cfg.HealthTimeout,
-		failAfter: cfg.FailAfter,
-		maxUpload: cfg.MaxUploadBytes,
-		client:    cfg.Client,
-		backends:  make(map[string]*backend, len(cfg.Backends)),
-		digests:   make(map[string]string),
-		closed:    make(chan struct{}),
+		replicas:       cfg.Replicas,
+		interval:       cfg.HealthInterval,
+		runLoop:        cfg.HealthInterval >= 0,
+		timeout:        cfg.HealthTimeout,
+		failAfter:      cfg.FailAfter,
+		maxUpload:      cfg.MaxUploadBytes,
+		failoverWindow: cfg.FailoverWindow,
+		client:         cfg.Client,
+		backends:       make(map[string]*backend, len(cfg.Backends)),
+		digests:        make(map[string]string),
+		closed:         make(chan struct{}),
 	}
 	if g.interval <= 0 {
 		g.interval = DefaultHealthInterval
@@ -179,13 +182,8 @@ func New(cfg Config) (*Gateway, error) {
 	if g.maxUpload <= 0 {
 		g.maxUpload = core.MaxModelBytes
 	}
-	switch {
-	case cfg.FailoverWindow < 0:
-		g.failoverWindow = -1
-	case cfg.FailoverWindow == 0:
+	if g.failoverWindow == 0 {
 		g.failoverWindow = pipeline.ResyncWarmup(pipeline.Config{})
-	default:
-		g.failoverWindow = cfg.FailoverWindow
 	}
 	if g.client == nil {
 		g.ownsClient = true
@@ -390,16 +388,15 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeServerOverloaded, "gateway: no routable backend for this stream"))
 		return
 	}
-	if g.failoverWindow >= 0 && r.Method == http.MethodPost && r.URL.Path == "/v1/stream" {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/stream" {
 		g.relayStream(w, r, b)
 		return
 	}
 	g.relayTo(w, r, b)
 }
 
-// relayTo is the relay data path. Request bodies stream through to the
-// backend (net/http writes the outgoing body concurrently with reading the
-// response, so /v1/stream's full-duplex NDJSON works end to end); response
+// relayTo is the relay data path of every request but POST /v1/stream
+// (relayStream). Request bodies stream through to the backend; response
 // bodies stream back through a pooled copy buffer with a flush per read.
 // Steady-state cost per relayed chunk: zero allocations (RelayCopy).
 func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
@@ -414,18 +411,7 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 
-	isStream := r.Method == http.MethodPost && r.URL.Path == "/v1/stream"
 	rc := http.NewResponseController(w)
-	if isStream {
-		// Beat lines must reach the client while its upload is still in
-		// flight; without full duplex the HTTP/1 server would discard the
-		// remaining request body on the first response write.
-		if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-			writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
-			return
-		}
-	}
-
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		writeErr(w, apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
@@ -472,21 +458,9 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	case isRelayWriteError(cerr) || r.Context().Err() != nil:
 		// The client side failed; the backend did nothing wrong.
 	default:
-		// The backend died mid-response. For a stream, the NDJSON framing
-		// lets us append a trailing typed error line — the client sees a
-		// contract error, never a torn line (RelayCopy forwards only whole
-		// backend writes, and the backend writes whole lines). For one-shot
-		// bodies the truncation itself is the client's (transport) signal.
+		// The backend died mid-response; the truncation itself is the
+		// client's (transport) signal.
 		g.noteBackendError(b, cerr)
-		if isStream {
-			ebp := lineBufs.Get().(*[]byte)
-			line := wire.AppendError((*ebp)[:0], string(apierr.CodeServerOverloaded),
-				fmt.Sprintf("gateway: backend %s lost mid-stream: %v", b.url, cerr))
-			w.Write(line)
-			rc.Flush()
-			*ebp = line[:0]
-			lineBufs.Put(ebp)
-		}
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 	"rpbeat/internal/wire"
 )
 
-// testModel fabricates a structurally valid model without the GA (the
-// rpbench idiom): beat detection is model-independent and classification is
-// deterministic for fixed bytes, which is all relay identity tests need.
+// testModel fabricates a structurally valid model without the GA: beat
+// detection is model-independent and classification is deterministic for
+// fixed bytes, which is all relay identity tests need.
 // A fixed seed makes every backend's copy byte-identical (same digest).
 func testModel(seed uint64) *core.Model {
 	r := rng.New(seed)
@@ -81,7 +81,7 @@ func (b *backendStack) Close() {
 
 // newBackendStack boots one backend serving testModel(1) as "m" (so every
 // backend in a pool holds identical bytes — one fleet digest).
-func newBackendStack(t *testing.T, instance string, cfg serve.HandlerConfig) *backendStack {
+func newBackendStack(t testing.TB, instance string, cfg serve.HandlerConfig) *backendStack {
 	t.Helper()
 	cat := catalog.New()
 	if _, err := cat.Put("m", testModel(1), nil); err != nil {
@@ -121,7 +121,7 @@ func (s *gateStack) urls() []string {
 	return out
 }
 
-func newGateStack(t *testing.T, n int, cfg serve.HandlerConfig, gcfg Config) *gateStack {
+func newGateStack(t testing.TB, n int, cfg serve.HandlerConfig, gcfg Config) *gateStack {
 	t.Helper()
 	s := &gateStack{}
 	for i := 0; i < n; i++ {
@@ -519,6 +519,15 @@ func TestGatewayDrainingBackend(t *testing.T) {
 		if url, ok := gw.BackendFor(fmt.Sprintf("dr-%d", i)); !ok || url != healthy.ts.URL {
 			t.Fatalf("key routed to %s (ok=%v), want the healthy backend", url, ok)
 		}
+	}
+}
+
+// TestNewRejectsNegativeFailoverWindow: failover has no off switch, so a
+// negative journal window is a configuration error, not a mode.
+func TestNewRejectsNegativeFailoverWindow(t *testing.T) {
+	if g, err := New(Config{Backends: []string{"http://127.0.0.1:1"}, HealthInterval: -1, FailoverWindow: -1}); err == nil {
+		g.Close()
+		t.Fatal("New accepted FailoverWindow -1")
 	}
 }
 

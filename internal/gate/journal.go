@@ -33,7 +33,8 @@ package gate
 // Those appends grow the arena instead — bounded in practice by beat
 // spacing plus pipeline delay, and hard-capped at maxJournalArena, past
 // which the journal poisons itself: replay capability is surrendered, the
-// stream degrades to the plain relay contract, and memory stays bounded.
+// stream degrades to a relay without failover (a backend death then ends it
+// with a trailing typed error line), and memory stays bounded.
 
 import "sync"
 

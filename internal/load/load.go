@@ -18,8 +18,7 @@
 // stream_overloaded, ...) is tallied by typed code, never treated as a
 // transport failure: the overload-control contract is that shed clients see
 // contract errors, and this package is how that contract is exercised at
-// fleet scale (cmd/rpload, the rpbench fleet family, and the soak tests all
-// drive it).
+// fleet scale (cmd/rpload and the soak tests both drive it).
 package load
 
 import (
@@ -105,8 +104,8 @@ type Config struct {
 	Chaos uint64
 }
 
-// Report is the fleet run's outcome, shaped for JSON (rpload -json and the
-// rpbench fleet family embed it verbatim).
+// Report is the fleet run's outcome, shaped for JSON (rpload -json embeds
+// it verbatim).
 type Report struct {
 	Streams int `json:"streams"`
 	// Targets is how many distinct base URLs the fleet was spread over

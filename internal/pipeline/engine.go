@@ -551,7 +551,8 @@ func (e *Engine) workerLoop(w *worker) {
 // with a deep backlog is requeued after this batch instead of holding its
 // worker until the FIFO empties, so one slow consumer cannot starve the
 // other streams sharing the pool — this is what keeps chunk p99 latency
-// bounded under mixed load (measured by the rpbench engine sweep).
+// bounded under mixed load (perfbench's fleet_engine workload measures it as
+// beat latency).
 const maxRunChunks = 32
 
 // run processes one queued stream: it drains up to maxRunChunks of the FIFO

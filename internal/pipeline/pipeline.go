@@ -349,15 +349,6 @@ func BatchClassify(ctx context.Context, emb *core.Embedded, lead []int32, cfg Co
 // value is ready to use; buffers grow to the largest record seen and are
 // reused afterwards. Not safe for concurrent use.
 type BatchScratch struct {
-	// Samples is the request-scoped raw-sample buffer: callers that decode
-	// a wire payload (internal/serve) append the decoded lead into
-	// Samples[:0] and pass the result back in as lead, so request bodies
-	// reuse one buffer across requests just like the classification
-	// scratch below. BatchClassifyInto itself never touches it — it is
-	// carried here so one pooled object holds a request's entire working
-	// set.
-	Samples []int32
-
 	mv       []float64
 	filtered []float64
 	filt     sigdsp.FilterScratch

@@ -18,8 +18,7 @@
 //     compact uplink for bandwidth-bound WBSN acquisition clients;
 //   - anything else is parsed as JSON — {"model":...,"samples":[...]} on
 //     /v1/classify, NDJSON {"samples":[...]} chunk lines on /v1/stream —
-//     through the hand-rolled internal/wire parser (encoding/json only
-//     remains as the HandlerConfig.StdlibJSON A/B baseline).
+//     through the hand-rolled internal/wire parser.
 //
 // Responses are always JSON/NDJSON, built by internal/wire's append-style
 // encoders into pooled buffers: byte-identical to what encoding/json would
@@ -71,7 +70,7 @@ import (
 	"rpbeat/internal/apierr"
 	"rpbeat/internal/catalog"
 	"rpbeat/internal/core"
-	"rpbeat/internal/nfc"
+	"rpbeat/internal/httpconn"
 	"rpbeat/internal/overload"
 	"rpbeat/internal/pipeline"
 	"rpbeat/internal/wire"
@@ -97,11 +96,6 @@ type HandlerConfig struct {
 	// MaxUploadBytes bounds a POST /v1/models body; default
 	// core.MaxModelBytes (the codec's own ceiling).
 	MaxUploadBytes int64
-	// StdlibJSON routes the data paths' JSON codecs through encoding/json
-	// instead of internal/wire — the A/B baseline the serve benchmarks and
-	// the codec-equivalence tests compare against. The wire format is
-	// identical either way; only cost differs. Off (fast path) by default.
-	StdlibJSON bool
 	// MaxStreams bounds concurrently open /v1/stream requests. At the
 	// bound, new streams are shed with the typed server_overloaded error
 	// while batch /v1/classify stays admitted — the shed ladder's first
@@ -125,11 +119,10 @@ type HandlerConfig struct {
 }
 
 type server struct {
-	eng        *pipeline.Engine
-	maxUpload  int64
-	stdlibJSON bool
-	gate       *overload.Gate
-	limiter    *overload.Limiter
+	eng       *pipeline.Engine
+	maxUpload int64
+	gate      *overload.Gate
+	limiter   *overload.Limiter
 	// scratch pools the per-request working buffers of /v1/classify: the
 	// request body bytes, the decoded sample slice, the millivolt
 	// conversion, the morphological filter and wavelet-detector buffers,
@@ -153,7 +146,7 @@ var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b
 // PUT /v1/default) and GET /healthz.
 func NewHandler(eng *pipeline.Engine, cfg HandlerConfig) http.Handler {
 	s := &server{
-		eng: eng, maxUpload: cfg.MaxUploadBytes, stdlibJSON: cfg.StdlibJSON,
+		eng: eng, maxUpload: cfg.MaxUploadBytes,
 		gate: overload.NewGate(overload.GateConfig{MaxStreams: cfg.MaxStreams, MaxBatch: cfg.MaxBatch}),
 	}
 	if cfg.RatePerTenant > 0 {
@@ -206,14 +199,12 @@ func (a affinityHeaders) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.next.ServeHTTP(w, r)
 }
 
-// classifyScratch is one request's reusable buffer set. The decoded sample
-// slice lives in batch.Samples (pipeline.BatchScratch carries the whole
-// request working set).
+// classifyScratch is one request's reusable buffer set.
 type classifyScratch struct {
-	body  []byte // raw request body bytes
-	batch pipeline.BatchScratch
-	resp  []byte // encoded response (fast path)
-	beats []Beat // response beat objects (stdlib path)
+	body    []byte  // raw request body bytes
+	samples []int32 // the decoded lead
+	batch   pipeline.BatchScratch
+	resp    []byte // encoded response
 }
 
 // ErrorResponse is the uniform JSON error body of every endpoint.
@@ -482,8 +473,8 @@ func readBody(buf []byte, r io.Reader) ([]byte, error) {
 
 // decodeClassifyRequest reads and decodes a /v1/classify body per the
 // negotiated content type into the request scratch, returning the model
-// reference and the decoded lead (aliasing sc.batch.Samples).
-func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, body io.Reader) (string, []int32, error) {
+// reference and the decoded lead (aliasing sc.samples).
+func decodeClassifyRequest(sc *classifyScratch, r *http.Request, body io.Reader) (string, []int32, error) {
 	var err error
 	sc.body, err = readBody(sc.body, body)
 	if err != nil {
@@ -501,26 +492,20 @@ func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, bod
 	model := ""
 	switch {
 	case wire.IsSampleContentType(r.Header.Get("Content-Type")):
-		sc.batch.Samples = sc.batch.Samples[:0]
+		sc.samples = sc.samples[:0]
 		data := sc.body
 		for len(data) > 0 {
-			sc.batch.Samples, data, err = wire.DecodeFrame(sc.batch.Samples, data)
+			sc.samples, data, err = wire.DecodeFrame(sc.samples, data)
 			if err != nil {
 				return "", nil, wireErr(err)
 			}
-			if len(sc.batch.Samples) > maxClassifySamples {
+			if len(sc.samples) > maxClassifySamples {
 				return "", nil, apierr.New(apierr.CodePayloadTooLarge,
 					"record exceeds %d samples", maxClassifySamples)
 			}
 		}
-	case s.stdlibJSON:
-		req := ClassifyRequest{Samples: sc.batch.Samples[:0]}
-		if err := json.Unmarshal(sc.body, &req); err != nil {
-			return "", nil, apierr.New(apierr.CodeBadInput, "bad request body: %v", err)
-		}
-		model, sc.batch.Samples = req.Model, req.Samples
 	default:
-		model, sc.batch.Samples, err = wire.ParseClassify(sc.batch.Samples, sc.body)
+		model, sc.samples, err = wire.ParseClassify(sc.samples, sc.body)
 		if err != nil {
 			return "", nil, wireErr(err)
 		}
@@ -530,7 +515,7 @@ func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, bod
 		// query reference works for every content type.
 		model = r.URL.Query().Get("model")
 	}
-	return model, sc.batch.Samples, nil
+	return model, sc.samples, nil
 }
 
 func (s *server) classify(w http.ResponseWriter, r *http.Request) {
@@ -547,7 +532,7 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.ReleaseBatch()
 	sc := s.scratch.Get().(*classifyScratch)
 	defer s.scratch.Put(sc)
-	model, samples, err := s.decodeClassifyRequest(sc, r, http.MaxBytesReader(w, r.Body, maxClassifyBytes))
+	model, samples, err := decodeClassifyRequest(sc, r, http.MaxBytesReader(w, r.Body, maxClassifyBytes))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -566,32 +551,12 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if s.stdlibJSON {
-		s.writeClassifyStdlib(w, sc, entry.Manifest.Ref(), beats)
-		return
-	}
 	// The response is encoded before the deferred Put, so the pooled
 	// buffers are never aliased by a live request.
 	sc.resp = wire.AppendClassifyResponse(sc.resp[:0], entry.Manifest.Ref(), beats)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.resp)
-}
-
-// writeClassifyStdlib is the encoding/json response path (the A/B
-// baseline): the historical Beat-slice + map rendering through json.Encoder.
-func (s *server) writeClassifyStdlib(w http.ResponseWriter, sc *classifyScratch, ref string, beats []pipeline.BeatResult) {
-	if sc.beats == nil {
-		sc.beats = []Beat{} // encode as [], never null
-	}
-	sc.beats = sc.beats[:0]
-	for _, b := range beats {
-		sc.beats = append(sc.beats, Beat{Sample: b.Peak, Class: b.Decision.String()})
-	}
-	writeJSON(w, http.StatusOK, ClassifyResponse{
-		Model: ref, Total: len(beats),
-		Counts: countDecisions(beats), Beats: sc.beats,
-	})
 }
 
 // StreamChunk is one NDJSON request line of POST /v1/stream: the next batch
@@ -619,18 +584,10 @@ type StreamDone struct {
 	Samples int    `json:"samples"`
 }
 
-// decodeChunkLine decodes one NDJSON chunk line into buf[:0] through the
-// configured JSON codec (wire fast parser, or encoding/json as the A/B
-// baseline — both reuse buf's backing array across lines, so steady-state
-// chunk decoding never reallocates).
-func (s *server) decodeChunkLine(buf []int32, line []byte) ([]int32, error) {
-	if s.stdlibJSON {
-		chunk := StreamChunk{Samples: buf[:0]}
-		if err := json.Unmarshal(line, &chunk); err != nil {
-			return buf, apierr.New(apierr.CodeBadInput, "bad chunk: %v", err)
-		}
-		return chunk.Samples, nil
-	}
+// decodeChunkLine decodes one NDJSON chunk line into buf[:0], reusing buf's
+// backing array across lines, so steady-state chunk decoding never
+// reallocates.
+func decodeChunkLine(buf []int32, line []byte) ([]int32, error) {
 	out, err := wire.ParseChunk(buf, line)
 	if err != nil {
 		return out, apierr.New(apierr.CodeBadInput, "bad chunk: %v", err)
@@ -668,6 +625,10 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
 		return
 	}
+	// From here on, every reply that leaves the upload unread (a refused
+	// open, a bad frame or chunk, a failed send) closes the connection
+	// after it (see internal/httpconn): by a Connection: close header while
+	// none is written, mid-stream through httpconn.CloseAfterReply.
 
 	// wmu guards the response writer, the lazily-written header, the shared
 	// line buffer and the stopped gate. stopped cuts the sink off once the
@@ -688,10 +649,6 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// closes, so a late sink call can never touch a recycled buffer.
 	bp := lineBufs.Get().(*[]byte)
 	lineBuf := *bp
-	var enc *json.Encoder
-	if s.stdlibJSON {
-		enc = json.NewEncoder(w)
-	}
 	defer func() {
 		wmu.Lock()
 		stopped = true
@@ -712,23 +669,26 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		ensureHeaderLocked()
-		if enc != nil {
-			enc.Encode(d)
-		} else {
-			lineBuf = wire.AppendStreamDone(lineBuf[:0], d.Model, d.Beats, d.Samples)
-			w.Write(lineBuf)
-		}
+		lineBuf = wire.AppendStreamDone(lineBuf[:0], d.Model, d.Beats, d.Samples)
+		w.Write(lineBuf)
 		rc.Flush()
 	}
 	// streamErr renders a typed error: as a plain status+body when nothing
 	// has been streamed yet, as a trailing NDJSON error line otherwise.
 	// All under wmu, so it never interleaves with a sink's beat line.
-	streamErr := func(err error) {
+	// unread says the upload was not read to its end.
+	streamErr := func(err error, unread bool) {
 		ae := apierr.From(err)
 		wmu.Lock()
 		defer wmu.Unlock()
+		if headerWritten && unread {
+			httpconn.CloseAfterReply(w)
+		}
 		if !headerWritten {
 			headerWritten = true
+			if unread {
+				w.Header().Set("Connection", "close")
+			}
 			if ae.Retryable() {
 				w.Header().Set("Retry-After", retryAfter)
 			}
@@ -753,6 +713,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// can suppress the already-delivered prefix by sample index alone.
 	resumeFrom, err := resumeBase(r)
 	if err != nil {
+		w.Header().Set("Connection", "close")
 		writeErr(w, err)
 		return
 	}
@@ -766,21 +727,16 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			ensureHeaderLocked()
-			if enc != nil {
-				for _, b := range res {
-					enc.Encode(StreamBeat{Sample: b.Peak, Class: b.Decision.String(), DetectedAt: b.DetectedAt})
-				}
-			} else {
-				lineBuf = lineBuf[:0]
-				for _, b := range res {
-					lineBuf = wire.AppendStreamBeat(lineBuf, b.Peak, b.Decision.String(), b.DetectedAt)
-				}
-				w.Write(lineBuf)
+			lineBuf = lineBuf[:0]
+			for _, b := range res {
+				lineBuf = wire.AppendStreamBeat(lineBuf, b.Peak, b.Decision.String(), b.DetectedAt)
 			}
+			w.Write(lineBuf)
 			rc.Flush()
 			beats += len(res) // sink calls are serialized per stream
 		})
 	if err != nil {
+		w.Header().Set("Connection", "close")
 		writeErr(w, err)
 		return
 	}
@@ -790,7 +746,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	abort := func(err error) {
 		st.Close()
 		markStopped()
-		streamErr(err)
+		streamErr(err, true)
 	}
 
 	// The decoded-chunk slice is pooled across connections and reused
@@ -838,7 +794,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			var err error
-			chunkBuf, err = s.decodeChunkLine(chunkBuf, line)
+			chunkBuf, err = decodeChunkLine(chunkBuf, line)
 			if err != nil {
 				abort(err)
 				return
@@ -862,7 +818,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// it returns, so the summary line is genuinely last.
 	if err := st.Close(); err != nil {
 		markStopped()
-		streamErr(err)
+		streamErr(err, false)
 		return
 	}
 	markStopped()
@@ -928,17 +884,6 @@ const (
 	// overloadRetryDelay paces the send retries while backpressuring.
 	overloadRetryDelay = 10 * time.Millisecond
 )
-
-func countDecisions(beats []pipeline.BeatResult) map[string]int {
-	counts := map[string]int{
-		nfc.DecideN.String(): 0, nfc.DecideL.String(): 0,
-		nfc.DecideV.String(): 0, nfc.DecideU.String(): 0,
-	}
-	for _, b := range beats {
-		counts[b.Decision.String()]++
-	}
-	return counts
-}
 
 // writeJSON renders an admin-surface success body through encoding/json
 // (those endpoints are cold; the data paths use internal/wire instead).

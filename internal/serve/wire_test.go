@@ -1,14 +1,22 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rpbeat/internal/apierr"
 	"rpbeat/internal/catalog"
@@ -177,15 +185,158 @@ func TestStreamBinaryBadFrame(t *testing.T) {
 	wantAPIError(t, resp, http.StatusRequestEntityTooLarge, apierr.CodePayloadTooLarge)
 }
 
-// TestCodecEquivalenceStdlibVsFast drives identical requests through a fast
-// handler and a StdlibJSON handler: every success response — batch and
-// stream — must be byte-identical, and every failure must carry the same
-// status and machine-readable code (messages may differ: each codec reports
-// its own diagnostics). This is the A/B guarantee that makes the fast codec
-// invisible on the wire.
+// TestStreamRefusalClosesKeepAlive sends two requests on one keep-alive
+// client: first a /v1/stream the handler refuses with its upload still
+// unread, then an ordinary classify. net/http drains the unread upload
+// after the handler, which races the next request's read on the same
+// connection, so the refusal must say Connection: close and the second
+// request must arrive on a fresh connection and succeed.
+func TestStreamRefusalClosesKeepAlive(t *testing.T) {
+	ts, _, _ := testServer(t)
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "ka", Seconds: 4, Seed: 8, PVCRate: 0.1}).Leads[0]
+	frames := wire.AppendFrames(nil, lead, 360)
+	classify := wire.AppendFrames(nil, lead, 1024)
+	badFrame := append([]byte("XXXXjunk"), frames...)
+
+	cases := []struct {
+		name, query string
+		resumeFrom  string
+		body        []byte
+		status      int
+		code        apierr.Code
+	}{
+		{"bad frame", "", "", badFrame, http.StatusBadRequest, apierr.CodeBadInput},
+		{"bad resume header", "", "-1", frames, http.StatusBadRequest, apierr.CodeBadInput},
+		{"open refused", "?model=nope", "", frames, http.StatusNotFound, apierr.CodeModelNotFound},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			var reused []bool
+			do := func(path, query, resumeFrom string, body []byte) *http.Response {
+				t.Helper()
+				req, err := http.NewRequest(http.MethodPost, ts.URL+path+query, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", wire.ContentTypeSamples)
+				if resumeFrom != "" {
+					req.Header.Set(ResumeFromHeader, resumeFrom)
+				}
+				trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+					reused = append(reused, info.Reused)
+				}}
+				resp, err := client.Do(req.WithContext(httptrace.WithClientTrace(req.Context(), trace)))
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				return resp
+			}
+
+			resp := do("/v1/stream", c.query, c.resumeFrom, c.body)
+			if !resp.Close {
+				t.Error("refused stream left its connection open for another request")
+			}
+			wantAPIError(t, resp, c.status, c.code)
+
+			resp = do("/v1/classify", "", "", classify)
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("classify after the refused stream: status %d, %v: %s", resp.StatusCode, err, raw)
+			}
+			if len(reused) != 2 || reused[1] {
+				t.Fatalf("connection reuse per request = %v, want [false false]", reused)
+			}
+		})
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the server's log and the test to
+// share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamMidStreamAbortClosesConnection: a stream that fails after its
+// first beat went out (a bad frame behind good ones) ends with a trailing
+// typed error line, and once the client finishes its upload the server
+// closes the connection instead of reading another request from it. Had it
+// kept the connection, its next read would race net/http's post-handler
+// drain, which panics ("invalid concurrent Body.Read call") in the server
+// log.
+func TestStreamMidStreamAbortClosesConnection(t *testing.T) {
+	_, eng, _ := testServer(t)
+	var logged lockedBuffer
+	ts := httptest.NewUnstartedServer(NewHandler(eng, HandlerConfig{}))
+	ts.Config.ErrorLog = log.New(&logged, "", 0)
+	ts.Start()
+	defer ts.Close()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	chunk := func(b []byte) { fmt.Fprintf(conn, "%x\r\n%s\r\n", len(b), b) }
+
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "ma", Seconds: 10, Seed: 8, PVCRate: 0.1}).Leads[0]
+	fmt.Fprintf(conn, "POST /v1/stream HTTP/1.1\r\nHost: serve\r\nContent-Type: %s\r\n"+
+		"Transfer-Encoding: chunked\r\n\r\n", wire.ContentTypeSamples)
+	chunk(wire.AppendFrames(nil, lead, 360))
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bufio.NewReader(resp.Body)
+	if line, err := body.ReadBytes('\n'); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("first beat line: status %d, %q, %v", resp.StatusCode, line, err)
+	}
+
+	chunk([]byte("XXXXjunk........"))
+	rest, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(rest), []byte("\n"))
+	var er ErrorResponse
+	if err := json.Unmarshal(lines[len(lines)-1], &er); err != nil || er.Error.Code != apierr.CodeBadInput {
+		t.Fatalf("last line %q, want a bad_input error line", lines[len(lines)-1])
+	}
+
+	fmt.Fprint(conn, "0\r\n\r\n") // the upload ends; the connection must not be reused
+	if n, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after the aborted stream: read %v, %v", n, err)
+	}
+	if strings.Contains(logged.String(), "panic") {
+		t.Fatalf("server kept the connection and panicked reading it:\n%s", logged.String())
+	}
+}
+
+// TestCodecEquivalenceStdlibVsFast holds the handler's hand-rolled codecs
+// to encoding/json as the oracle. Every success body — the classify
+// response and each stream beat and done line — must be exactly what
+// json.Encoder writes for the value it decodes to, and a request is refused
+// as bad_input whenever json.Unmarshal rejects its body; a body the stdlib
+// accepts gets the outcome its content calls for. Together this keeps the
+// fast codec invisible on the wire.
 func TestCodecEquivalenceStdlibVsFast(t *testing.T) {
-	fast := testServerWith(t, HandlerConfig{})
-	std := testServerWith(t, HandlerConfig{StdlibJSON: true})
+	ts, _, _ := testServer(t)
 	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "ab", Seconds: 20, Seed: 9, PVCRate: 0.2}).Leads[0]
 
 	classifyBody, _ := json.Marshal(ClassifyRequest{Model: "default", Samples: lead})
@@ -195,87 +346,139 @@ func TestCodecEquivalenceStdlibVsFast(t *testing.T) {
 		line, _ := json.Marshal(StreamChunk{Samples: lead[off:end]})
 		ndjson = append(append(ndjson, line...), '\n')
 	}
+	// reencode decodes one fast-codec line into a fresh value of the
+	// oracle's type and renders it back through json.Encoder.
+	reencode := func(line []byte, v any) []byte {
+		t.Helper()
+		if err := json.Unmarshal(line, v); err != nil {
+			t.Fatalf("fast body %q does not decode: %v", line, err)
+		}
+		var out bytes.Buffer
+		if err := json.NewEncoder(&out).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	// stdlibDecodes reports whether json.Unmarshal accepts the request
+	// body: the whole body on /v1/classify, every line on /v1/stream.
+	stdlibDecodes := func(path string, body []byte) bool {
+		if path == "/v1/classify" {
+			return json.Unmarshal(body, new(ClassifyRequest)) == nil
+		}
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			if len(line) > 0 && json.Unmarshal(line, new(StreamChunk)) != nil {
+				return false
+			}
+		}
+		return true
+	}
+
 	cases := []struct {
 		name, path, ct string
 		body           []byte
+		// want is the outcome of a body the stdlib decodes: "" for
+		// success, otherwise the typed refusal its content earns.
+		want apierr.Code
 	}{
-		{"classify", "/v1/classify", "application/json", classifyBody},
+		{"classify", "/v1/classify", "application/json", classifyBody, ""},
 		{"classify with whitespace", "/v1/classify", "application/json",
 			[]byte(" {\n\t\"samples\" : [ 1017 , 1020, 1013, 998, 1004, 1011, 1002, 997, 1003, 1008," +
-				" 1017 , 1020, 1013, 998, 1004, 1011, 1002, 997, 1003, 1008 ] } ")},
+				" 1017 , 1020, 1013, 998, 1004, 1011, 1002, 997, 1003, 1008 ] } "), ""},
 		{"classify folded keys", "/v1/classify", "application/json",
-			[]byte(`{"SAMPLES":[1017,1020,1013,998,1004,1011,1002,997,1003,1008],"MODEL":"default"}`)},
-		{"classify bad json", "/v1/classify", "application/json", []byte(`{"samples":[1,}`)},
-		{"classify float sample", "/v1/classify", "application/json", []byte(`{"samples":[1.5]}`)},
-		{"classify no samples", "/v1/classify", "application/json", []byte(`{"samples":[]}`)},
-		{"classify unknown model", "/v1/classify", "application/json", []byte(`{"model":"nope","samples":[1,2,3]}`)},
-		{"stream", "/v1/stream", "application/x-ndjson", ndjson},
-		{"stream bad chunk", "/v1/stream", "application/x-ndjson", []byte("{\"samples\":[1,2]}\nnot json\n")},
+			[]byte(`{"SAMPLES":[1017,1020,1013,998,1004,1011,1002,997,1003,1008],"MODEL":"default"}`), ""},
+		{"classify unknown key", "/v1/classify", "application/json",
+			[]byte(`{"extra":{"a":[1,{"b":null}]},"samples":[1017,1020,1013]}`), ""},
+		{"classify bad json", "/v1/classify", "application/json", []byte(`{"samples":[1,}`), ""},
+		{"classify float sample", "/v1/classify", "application/json", []byte(`{"samples":[1.5]}`), ""},
+		{"classify sample out of range", "/v1/classify", "application/json", []byte(`{"samples":[2147483648]}`), ""},
+		{"classify model not a string", "/v1/classify", "application/json", []byte(`{"model":7,"samples":[1]}`), ""},
+		{"classify trailing garbage", "/v1/classify", "application/json", []byte(`{"samples":[1]} x`), ""},
+		{"classify no samples", "/v1/classify", "application/json", []byte(`{"samples":[]}`), apierr.CodeBadInput},
+		{"classify unknown model", "/v1/classify", "application/json",
+			[]byte(`{"model":"nope","samples":[1,2,3]}`), apierr.CodeModelNotFound},
+		{"stream", "/v1/stream", "application/x-ndjson", ndjson, ""},
+		{"stream bad chunk", "/v1/stream", "application/x-ndjson", []byte("{\"samples\":[1,2]}\nnot json\n"), ""},
+		{"stream float sample", "/v1/stream", "application/x-ndjson", []byte("{\"samples\":[1,2.5]}\n"), ""},
 	}
 	for _, c := range cases {
-		stF, respF := postBody(t, fast.URL+c.path, c.ct, c.body)
-		stS, respS := postBody(t, std.URL+c.path, c.ct, c.body)
-		if stF != stS {
-			t.Fatalf("%s: status fast %d != stdlib %d", c.name, stF, stS)
+		status, resp := postBody(t, ts.URL+c.path, c.ct, c.body)
+		lines := bytes.SplitAfter(resp, []byte("\n"))
+		if len(lines[len(lines)-1]) == 0 {
+			lines = lines[:len(lines)-1]
 		}
-		if stF == http.StatusOK && !bytes.HasPrefix(respF, []byte(`{"error"`)) {
-			// Success bodies must match byte for byte.
-			if !bytes.Equal(respF, respS) {
-				t.Fatalf("%s: responses differ:\nfast   %s\nstdlib %s", c.name, respF, respS)
+		if len(lines) == 0 {
+			t.Fatalf("%s: empty response (status %d)", c.name, status)
+		}
+		var er ErrorResponse
+		last := lines[len(lines)-1]
+		failed := bytes.HasPrefix(last, []byte(`{"error"`))
+		if failed {
+			if err := json.Unmarshal(last, &er); err != nil {
+				t.Fatalf("%s: error line %q: %v", c.name, last, err)
 			}
-			continue
+			lines = lines[:len(lines)-1]
 		}
-		// Error bodies carry codec-specific diagnostics in the message;
-		// the machine-readable contract (the code) must agree.
-		var errF, errS ErrorResponse
-		lastF := respF[bytes.LastIndexByte(bytes.TrimSpace(respF), '\n')+1:]
-		lastS := respS[bytes.LastIndexByte(bytes.TrimSpace(respS), '\n')+1:]
-		if err := json.Unmarshal(lastF, &errF); err != nil {
-			t.Fatalf("%s: fast error body %s: %v", c.name, respF, err)
+
+		want := c.want
+		if !stdlibDecodes(c.path, c.body) {
+			want = apierr.CodeBadInput
 		}
-		if err := json.Unmarshal(lastS, &errS); err != nil {
-			t.Fatalf("%s: stdlib error body %s: %v", c.name, respS, err)
+		switch {
+		case want == "" && (failed || status != http.StatusOK):
+			t.Fatalf("%s: status %d, code %q; encoding/json accepts the body", c.name, status, er.Error.Code)
+		case want != "" && !failed:
+			t.Fatalf("%s: status %d without an error, want %q", c.name, status, want)
+		case failed && er.Error.Code != want:
+			t.Fatalf("%s: error code %q, want %q", c.name, er.Error.Code, want)
 		}
-		if errF.Error.Code != errS.Error.Code {
-			t.Fatalf("%s: error code fast %q != stdlib %q", c.name, errF.Error.Code, errS.Error.Code)
+
+		// Every success line, including those a stream sent before its
+		// error line, must be encoding/json's own rendering.
+		for i, line := range lines {
+			var got []byte
+			switch {
+			case c.path == "/v1/classify":
+				got = reencode(line, new(ClassifyResponse))
+			case !failed && i == len(lines)-1:
+				got = reencode(line, new(StreamDone))
+			default:
+				got = reencode(line, new(StreamBeat))
+			}
+			if !bytes.Equal(line, got) {
+				t.Fatalf("%s: fast line differs from encoding/json:\nfast   %s\nstdlib %s", c.name, line, got)
+			}
 		}
 	}
 }
 
-// TestDecodeChunkLineReusesBuffer pins the satellite contract directly on
-// the handler's chunk decoder: across NDJSON lines the decoded samples
-// reuse one backing array (both codecs), and the fast path decodes a warm
-// line with zero allocations.
+// TestDecodeChunkLineReusesBuffer pins the chunk decoder's contract:
+// across NDJSON lines the decoded samples reuse one backing array, and a
+// warm line decodes with zero allocations.
 func TestDecodeChunkLineReusesBuffer(t *testing.T) {
 	lines := [][]byte{
 		[]byte(`{"samples":[1017,1020,1013,998]}`),
 		[]byte(`{"samples":[1,2,3,4,5,6,7,8]}`),
 		[]byte(`{"samples":[-5]}`),
 	}
-	for _, stdlib := range []bool{false, true} {
-		s := &server{stdlibJSON: stdlib}
-		buf := make([]int32, 0, 64)
-		base := &buf[:1][0]
-		for round := 0; round < 10; round++ {
-			for _, line := range lines {
-				var err error
-				buf, err = s.decodeChunkLine(buf, line)
-				if err != nil {
-					t.Fatal(err)
-				}
+	buf := make([]int32, 0, 64)
+	base := &buf[:1][0]
+	for round := 0; round < 10; round++ {
+		for _, line := range lines {
+			var err error
+			buf, err = decodeChunkLine(buf, line)
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		if &buf[:1][0] != base {
-			t.Fatalf("stdlib=%v: chunk slice was reallocated across lines", stdlib)
-		}
+	}
+	if &buf[:1][0] != base {
+		t.Fatal("chunk slice was reallocated across lines")
 	}
 
-	s := &server{}
-	buf := make([]int32, 0, 64)
 	line := lines[0]
 	var decErr error
-	testutil.AssertZeroAlloc(t, "fast decodeChunkLine on a warm buffer", func() {
-		buf, decErr = s.decodeChunkLine(buf, line)
+	testutil.AssertZeroAlloc(t, "decodeChunkLine on a warm buffer", func() {
+		buf, decErr = decodeChunkLine(buf, line)
 	})
 	if decErr != nil {
 		t.Fatal(decErr)
@@ -308,7 +511,6 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 		line, _ := json.Marshal(StreamChunk{Samples: lead[off : off+360]})
 		lines = append(lines, line)
 	}
-	srv := &server{}
 	buf := make([]int32, 0, 512)
 	drain := func() {
 		for st.PendingSamples() > 0 {
@@ -317,7 +519,7 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 	}
 	// Warm-up: a full pass grows every ring, FIFO and pool to steady state.
 	for _, line := range lines {
-		if buf, err = srv.decodeChunkLine(buf, line); err != nil {
+		if buf, err = decodeChunkLine(buf, line); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Send(ctx, buf); err != nil {
@@ -330,7 +532,7 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 	var loopErr error
 	testutil.AssertZeroAllocN(t, "steady-state stream serving (5 chunks per run)", 10, func() {
 		for i := 0; i < 5; i++ {
-			buf, loopErr = srv.decodeChunkLine(buf, lines[next])
+			buf, loopErr = decodeChunkLine(buf, lines[next])
 			if loopErr != nil {
 				return
 			}

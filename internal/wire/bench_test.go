@@ -10,10 +10,9 @@ import (
 	"rpbeat/internal/rng"
 )
 
-// The wire-row benchmarks: the per-chunk decode cost of each codec the
-// serving layer can run, over the same one-second 360-sample chunk. CI runs
-// them as a smoke test (-bench=Wire); rpbench -json records them as the
-// serve/stream decode rows of BENCH_<n>.json.
+// The wire benchmarks: the per-chunk decode cost of each uplink codec, and
+// of encoding/json as the baseline the fast parser replaced, over the same
+// one-second 360-sample chunk. CI runs them as a smoke test (-bench=Wire).
 
 func benchChunkLine(b *testing.B) ([]byte, []int32) {
 	b.Helper()

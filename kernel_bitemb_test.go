@@ -3,9 +3,9 @@ package rpbeat
 // The binary-head kernel contract, enforced: at the paper geometry (k=8
 // coefficients over 50-sample windows at 90 Hz) the packed 1-bit classifier
 // must beat the fuzzy integer kernel by at least 3x per beat, with zero
-// allocations on both sides. cmd/rpbench records the same pair as
-// kernel/classify_per_beat_8x50 and kernel/classify_per_beat_bitemb_8x50 in
-// BENCH_<n>.json; this test is the CI floor under those rows.
+// allocations on both sides. BenchmarkKernel_IntegerClassifierPerBeat and
+// BenchmarkKernel_BitembClassifierPerBeat time the same pair on a trained
+// model; this test is the CI floor under them.
 
 import (
 	"testing"
@@ -18,9 +18,9 @@ import (
 	"rpbeat/internal/rp"
 )
 
-// Fabricated models, the rpbench idiom: classification cost is
-// data-independent (branch-free kernels), so random parameters measure the
-// same kernel as trained ones while keeping this test training-free.
+// Fabricated models: classification cost is data-independent (branch-free
+// kernels), so random parameters measure the same kernel as trained ones
+// while keeping these tests training-free.
 
 func speedFuzzyEmbedded(r *rng.Rand, k, d int) (*core.Embedded, error) {
 	mf := nfc.NewParams(k)
@@ -111,5 +111,28 @@ func TestBitembKernelSpeedupFloor(t *testing.T) {
 	if ratio < 3 {
 		t.Fatalf("bitemb kernel %.1f ns/beat is only %.2fx the fuzzy kernel's %.1f ns/beat, want >= 3x",
 			bitNs, ratio, fuzzyNs)
+	}
+}
+
+// BenchmarkKernel_BitembPack8 is the binary head's sign-extraction step
+// alone at k=8: one projected beat packed into its 1-bit code, the part of
+// the bitemb kernel that replaces the fuzzy head's grade evaluation.
+func BenchmarkKernel_BitembPack8(b *testing.B) {
+	r := rng.New(2)
+	emb, err := speedBitembEmbedded(r, 8, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := make([]int32, 50)
+	for i := range w {
+		w[i] = int32(r.Intn(2048)) - 1024
+	}
+	u := make([]int32, emb.K)
+	emb.ProjectIntInto(w, u)
+	code := make([]uint64, bitemb.Words(emb.K))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emb.Bit.PackInto(u, code)
 	}
 }
