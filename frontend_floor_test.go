@@ -1,10 +1,12 @@
 package rpbeat
 
 // The streaming front-end contract, enforced: serving a 30 s record as a
-// stream (PushChunk per chunk, then Flush) may cost at most 1.6x the batch
-// path (BatchClassifyInto with warm scratch) on the same record, per
-// sample. The stream runs the same operators one sample at a time through
-// fixed rings; the ratio is what that costs over whole-buffer passes, and
+// stream (PushChunk per chunk, then Flush) must cost at most 0.85x the
+// batch path (BatchClassifyInto with warm scratch) on the same record, per
+// sample. The stream runs the same operators stage-major over fixed blocks,
+// its noise suppression on int32 ADC counts with a two-sample carry; the
+// batch path runs deque passes over whole float64 buffers. Being cheaper
+// than the batch path is what lets /v1/classify move onto the stream, and
 // this test is the CI floor under it.
 
 import (
@@ -19,7 +21,7 @@ import (
 )
 
 // maxStreamOverBatch is the highest allowed stream/batch cost ratio.
-const maxStreamOverBatch = 1.6
+const maxStreamOverBatch = 0.85
 
 func TestStreamFrontendVsBatchFloor(t *testing.T) {
 	if testing.Short() {
@@ -74,7 +76,7 @@ func TestStreamFrontendVsBatchFloor(t *testing.T) {
 	ratio := streamNs / batchNs
 	t.Logf("stream %.1f ns/sample, batch %.1f ns/sample: %.2fx", streamNs, batchNs, ratio)
 	if ratio > maxStreamOverBatch {
-		t.Fatalf("stream path %.1f ns/sample is %.2fx the batch path's %.1f ns/sample, want <= %.1fx",
+		t.Fatalf("stream path %.1f ns/sample is %.2fx the batch path's %.1f ns/sample, want <= %.2fx",
 			streamNs, ratio, batchNs, maxStreamOverBatch)
 	}
 }

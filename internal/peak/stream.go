@@ -1,11 +1,12 @@
 package peak
 
-// Streaming (sample-by-sample) R-peak detection with bounded memory.
+// Streaming R-peak detection with bounded memory.
 //
 // StreamDetector reproduces Detect exactly — same à trous scales, same
 // windowed-RMS adaptive thresholds, same modulus-maxima pairing, zero
 // crossing localization and refractory arbitration — but consumes the
-// filtered lead one sample at a time. The batch function is the reference:
+// filtered lead as it arrives, block by block (a block may be one sample),
+// with the same peaks for any split. The batch function is the reference:
 // on any signal, the peaks a StreamDetector emits are identical to
 // Detect(x, cfg) up to the right signal border (the final thresholds of a
 // batch run use the last, partial RMS window of the whole record, which a
@@ -30,11 +31,13 @@ import (
 const streamDWTLevels = 3
 
 // StreamDetector is the online QRS detector. Feed it filtered samples with
-// Push; peak indices come back (possibly several per call, usually none)
-// once they are final, i.e. once no future sample can change them.
+// Block (or Push, a one-sample block); peak indices come back (possibly
+// several per call, usually none) once they are final, i.e. once no future
+// sample can change them.
 type StreamDetector struct {
 	c                  Config
 	dwt                *sigdsp.StreamDWT
+	dwtDelay           int
 	win, pair, refract int
 	// nextWin is how many detection-scale samples complete the window being
 	// buffered right now: win - (StartSample mod win) for the first window of
@@ -46,6 +49,7 @@ type StreamDetector struct {
 	wbase int // absolute index of the window's first sample
 	wbuf  [2][]float64
 	sumsq [2]float64
+	wN    int // detection-scale samples consumed
 
 	// Detection signal and its threshold, as power-of-two rings indexed by
 	// absolute sample position masked with mask. Positions are absolute, so
@@ -63,8 +67,18 @@ type StreamDetector struct {
 	hasPending bool // last kept candidate, not yet final (refractory state)
 	pending    candidate
 
+	found   []Detection
 	emit    []int
 	flushed bool
+}
+
+// Detection is one finalized R peak.
+type Detection struct {
+	// Pos is the peak's sample index, aligned with the input.
+	Pos int
+	// At is the index of the input sample whose arrival finalized the peak:
+	// the sample a per-sample caller would have been pushing.
+	At int
 }
 
 // NewStreamDetector builds a streaming detector. cfg.SearchBackOff must be
@@ -87,6 +101,7 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 		refract: int(c.RefractorySec * c.Fs),
 		scan:    1, // the batch extremum scan starts at index 1
 	}
+	d.dwtDelay = d.dwt.Delay()
 	d.nextWin = win
 	if c.StartSample > 0 {
 		// Resuming at absolute sample S: shorten the first threshold window
@@ -112,7 +127,7 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 // windows (the detection signal and its own RMS complete per window), and
 // the refractory + pairing margin that makes a candidate final.
 func (d *StreamDetector) Delay() int {
-	return d.dwt.Delay() + 2*d.win + d.refract + d.pair + 2
+	return d.dwtDelay + 2*d.win + d.refract + d.pair + 2
 }
 
 // Window returns the adaptive-threshold window length in samples — the
@@ -121,26 +136,62 @@ func (d *StreamDetector) Delay() int {
 func (d *StreamDetector) Window() int { return d.win }
 
 // Push consumes one sample of the filtered lead and returns the R peaks
-// finalized by it, as absolute sample indices (aligned with the input).
-// The returned slice is reused by the next call; copy it to retain.
+// finalized by it, as absolute sample indices (aligned with the input). It
+// is a one-sample Block. The returned slice is reused by the next call;
+// copy it to retain.
 //
 //rpbeat:allocfree
 func (d *StreamDetector) Push(x float64) []int {
 	d.emit = d.emit[:0]
-	w, ok := d.dwt.Push(x)
-	if !ok {
-		return nil
-	}
-	// The float64 conversions round each square before the sum, as the
-	// batch windowed RMS does, so no platform fuses them into an FMA.
-	d.wbuf[0] = append(d.wbuf[0], w[1])
-	d.sumsq[0] += float64(w[1] * w[1])
-	d.wbuf[1] = append(d.wbuf[1], w[2])
-	d.sumsq[1] += float64(w[2] * w[2])
-	if len(d.wbuf[0]) == d.nextWin {
-		d.completeWindow()
+	in := [1]float64{x}
+	for _, f := range d.Block(in[:]) {
+		d.emit = append(d.emit, f.Pos)
 	}
 	return d.emit
+}
+
+// Block consumes a block of the filtered lead and returns the R peaks it
+// finalized, in order, each with the index of the sample that finalized
+// it. The result is the same for any split of a stream into blocks. The
+// returned slice is reused by the next call; copy it to retain.
+//
+//rpbeat:allocfree
+func (d *StreamDetector) Block(x []float64) []Detection {
+	d.found = d.found[:0]
+	for len(x) > 0 {
+		m := min(len(x), sigdsp.BlockSize)
+		d.dwt.Block(x[:m])
+		d.feedWindows(d.dwt.Detail(1), d.dwt.Detail(2))
+		x = x[m:]
+	}
+	return d.found
+}
+
+// feedWindows feeds the detection scales w1 and w2 (levels 1 and 2) into the
+// threshold windows, completing each window as it fills.
+//
+//rpbeat:allocfree
+func (d *StreamDetector) feedWindows(w1, w2 []float64) {
+	for len(w1) > 0 {
+		take := min(len(w1), d.nextWin-len(d.wbuf[0]))
+		// The float64 conversions round each square before the sum, as the
+		// batch windowed RMS does, so no platform fuses them into an FMA.
+		s1, s2 := d.sumsq[0], d.sumsq[1]
+		for i, v := range w1[:take] {
+			u := w2[i]
+			s1 += float64(v * v)
+			s2 += float64(u * u)
+		}
+		d.sumsq[0], d.sumsq[1] = s1, s2
+		d.wbuf[0] = append(d.wbuf[0], w1[:take]...)
+		d.wbuf[1] = append(d.wbuf[1], w2[:take]...)
+		d.wN += take
+		w1, w2 = w1[take:], w2[take:]
+		if len(d.wbuf[0]) == d.nextWin {
+			// Detection-scale sample i arrives with input i+dwtDelay.
+			d.completeWindow(d.wN - 1 + d.dwtDelay)
+		}
+	}
 }
 
 // Flush finishes the stream: the final partial threshold window is processed
@@ -152,7 +203,11 @@ func (d *StreamDetector) Flush() []int {
 		return nil
 	}
 	d.flushed = true
-	d.completeWindow()
+	d.found = d.found[:0]
+	d.completeWindow(d.wN - 1 + d.dwtDelay)
+	for _, f := range d.found {
+		d.emit = append(d.emit, f.Pos)
+	}
 	if d.hasPending {
 		d.emit = append(d.emit, d.pending.pos)
 		d.hasPending = false
@@ -163,7 +218,7 @@ func (d *StreamDetector) Flush() []int {
 // completeWindow turns the buffered detection-scale samples into detection
 // signal + thresholds (exactly windowedRMS + the z formula of decompose) and
 // advances the extremum scan.
-func (d *StreamDetector) completeWindow() {
+func (d *StreamDetector) completeWindow(at int) {
 	count := len(d.wbuf[0])
 	if count == 0 {
 		return
@@ -187,13 +242,15 @@ func (d *StreamDetector) completeWindow() {
 	d.wbuf[0] = d.wbuf[0][:0]
 	d.wbuf[1] = d.wbuf[1][:0]
 	d.sumsq[0], d.sumsq[1] = 0, 0
-	d.advance()
+	d.advance(at)
 }
 
 // advance scans newly available detection-signal samples for significant
 // extrema (the detectPass criteria) and finalizes the pending candidate once
-// no future candidate can fall inside its refractory period.
-func (d *StreamDetector) advance() {
+// no future candidate can fall inside its refractory period. at is the
+// index of the input sample being consumed, recorded on every peak this
+// finalizes.
+func (d *StreamDetector) advance(at int) {
 	for d.scan+1 < d.zN {
 		i := d.scan
 		d.scan++
@@ -204,25 +261,25 @@ func (d *StreamDetector) advance() {
 		prev := d.z[(i-1)&d.mask]
 		next := d.z[(i+1)&d.mask]
 		if (v > 0 && v >= prev && v > next) || (v < 0 && v <= prev && v < next) {
-			d.extremum(i, v)
+			d.extremum(i, v, at)
 		}
 	}
 	// A future candidate's position is at least scan-pair (its pair partner
 	// must lie within the pair window of a yet-unscanned extremum), so once
 	// that bound clears the refractory period the pending candidate is final.
 	if d.hasPending && d.scan-d.pair >= d.pending.pos+d.refract {
-		d.emit = append(d.emit, d.pending.pos)
+		d.found = append(d.found, Detection{Pos: d.pending.pos, At: at})
 		d.hasPending = false
 	}
 }
 
-func (d *StreamDetector) extremum(pos int, val float64) {
+func (d *StreamDetector) extremum(pos int, val float64, at int) {
 	if d.havePrev && d.prevVal*val < 0 && pos-d.prevPos <= d.pair {
 		zc := d.zeroCross(d.prevPos, pos)
 		if zc < 0 {
 			zc = (d.prevPos + pos) / 2
 		}
-		d.candidate(candidate{pos: zc, amp: math.Abs(d.prevVal) + math.Abs(val)})
+		d.candidate(candidate{pos: zc, amp: math.Abs(d.prevVal) + math.Abs(val)}, at)
 	}
 	d.havePrev, d.prevPos, d.prevVal = true, pos, val
 }
@@ -247,7 +304,7 @@ func (d *StreamDetector) zeroCross(lo, hi int) int {
 
 // candidate applies the refractory arbitration incrementally: candidates
 // arrive position-ordered, so only the last kept one can still be replaced.
-func (d *StreamDetector) candidate(c candidate) {
+func (d *StreamDetector) candidate(c candidate, at int) {
 	if !d.hasPending {
 		d.pending, d.hasPending = c, true
 		return
@@ -258,6 +315,6 @@ func (d *StreamDetector) candidate(c candidate) {
 		}
 		return
 	}
-	d.emit = append(d.emit, d.pending.pos)
+	d.found = append(d.found, Detection{Pos: d.pending.pos, At: at})
 	d.pending = c
 }

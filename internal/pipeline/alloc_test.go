@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -43,6 +44,45 @@ func TestPipelinePushZeroAlloc(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPipelinePushChunkZeroAlloc holds PushChunk, the path the engine's
+// workers run, to zero allocations at every chunk size the serving paths
+// and tests use: one sample, the stream_gateway and fleet_engine chunks,
+// and a chunk of many blocks.
+func TestPipelinePushChunkZeroAlloc(t *testing.T) {
+	emb := testModel(t)
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "zc", Seconds: 60, Seed: 7, PVCRate: 0.1}).Leads[0]
+	big := make([]int32, 1<<16)
+	for i := range big {
+		big[i] = lead[i%len(lead)]
+	}
+	for _, chunk := range []int{1, 36, 180, 1 << 16} {
+		pipe, err := New(emb, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		beats := 0
+		count := func(b []BeatResult) { beats += len(b) }
+		// Warm up: one full pass brings every internal buffer to steady state.
+		for off := 0; off+chunk <= len(big); off += chunk {
+			pipe.PushChunk(big[off:off+chunk], count)
+		}
+		if beats == 0 {
+			t.Fatalf("chunk %d: warm-up emitted no beats; the measurement would be vacuous", chunk)
+		}
+		perRun := max(chunk, 3600)
+		next := 0
+		testutil.AssertZeroAllocN(t, fmt.Sprintf("steady-state PushChunk(%d)", chunk), 10, func() {
+			for done := 0; done < perRun; done += chunk {
+				if next+chunk > len(big) {
+					next = 0
+				}
+				pipe.PushChunk(big[next:next+chunk], count)
+				next += chunk
+			}
+		})
+	}
 }
 
 // TestEngineSendZeroAlloc holds the steady-state Send path to zero

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"rpbeat/internal/core"
@@ -57,29 +58,54 @@ func (d *beatDigest) sum() string {
 	return hex.EncodeToString(s[:])
 }
 
+// goldenHeads are the classifier heads the digests are pinned for.
+var goldenHeads = []struct {
+	name string
+	emb  func(testing.TB) *core.Embedded
+}{{"fuzzy", testModel}, {"bitemb", testBitembModel}}
+
+// feedFunc streams one lead into a pipeline, handing every batch of beats
+// it emits (before Flush) to add.
+type feedFunc func(p *Pipeline, lead []int32, add func([]BeatResult))
+
+// chunked feeds a lead through PushChunk in chunks of n samples.
+func chunked(n int) feedFunc {
+	return func(p *Pipeline, lead []int32, add func([]BeatResult)) {
+		for i := 0; i < len(lead); i += n {
+			p.PushChunk(lead[i:min(i+n, len(lead))], add)
+		}
+	}
+}
+
+// streamDigest streams every golden record through a fresh pipeline with
+// feed, then Flush, and returns the digest and the beat count.
+func streamDigest(t *testing.T, emb *core.Embedded, feed feedFunc) (string, int) {
+	t.Helper()
+	var d beatDigest
+	beats := 0
+	for _, spec := range goldenRecords {
+		lead := ecgsyn.Synthesize(spec).Leads[0]
+		pipe, err := New(emb, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(pipe, lead, func(b []BeatResult) {
+			d.add(b)
+			beats += len(b)
+		})
+		d.add(pipe.Flush())
+		d.endRecord()
+	}
+	return d.sum(), beats
+}
+
 func TestGoldenBeatDigests(t *testing.T) {
-	for _, head := range []struct {
-		name string
-		emb  func(testing.TB) *core.Embedded
-	}{{"fuzzy", testModel}, {"bitemb", testBitembModel}} {
+	for _, head := range goldenHeads {
 		emb := head.emb(t)
-		var stream, batch beatDigest
-		beats := 0
+		streamSum, beats := streamDigest(t, emb, chunked(goldenChunk))
+		var batch beatDigest
 		for _, spec := range goldenRecords {
 			lead := ecgsyn.Synthesize(spec).Leads[0]
-			pipe, err := New(emb, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < len(lead); i += goldenChunk {
-				pipe.PushChunk(lead[i:min(i+goldenChunk, len(lead))], func(b []BeatResult) {
-					stream.add(b)
-					beats += len(b)
-				})
-			}
-			stream.add(pipe.Flush())
-			stream.endRecord()
-
 			b, err := BatchClassify(context.Background(), emb, lead, Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -90,10 +116,50 @@ func TestGoldenBeatDigests(t *testing.T) {
 		if beats < 150 {
 			t.Fatalf("%s: only %d streamed beats across the golden records", head.name, beats)
 		}
-		for path, d := range map[string]*beatDigest{"stream": &stream, "batch": &batch} {
+		for path, got := range map[string]string{"stream": streamSum, "batch": batch.sum()} {
 			key := head.name + "/" + path
-			if got, want := d.sum(), goldenDigests[key]; got != want {
+			if want := goldenDigests[key]; got != want {
 				t.Errorf("%s beat digest %s, pinned %s", key, got, want)
+			}
+		}
+	}
+}
+
+// TestGoldenBeatDigestsChunkSplits requires the pinned stream digests
+// whatever the chunking: one sample per PushChunk, chunks that straddle
+// the front end's block boundaries, chunks of many blocks, the whole
+// record at once, and a run that alternates Push with PushChunk. Beats,
+// including the sample that finalized each (DetectedAt), must not depend
+// on where a chunk or a block ends.
+func TestGoldenBeatDigestsChunkSplits(t *testing.T) {
+	feeds := map[string]feedFunc{
+		"whole": func(p *Pipeline, lead []int32, add func([]BeatResult)) {
+			p.PushChunk(lead, add)
+		},
+		// Push one sample, a short chunk, one sample, then a chunk longer
+		// than a block, over and over.
+		"alternating": func(p *Pipeline, lead []int32, add func([]BeatResult)) {
+			cycle := []int{1, 13, 1, 300}
+			for i, c := 0, 0; i < len(lead); c++ {
+				n := min(cycle[c%len(cycle)], len(lead)-i)
+				if n == 1 {
+					add(p.Push(lead[i]))
+				} else {
+					p.PushChunk(lead[i:i+n], add)
+				}
+				i += n
+			}
+		},
+	}
+	for _, n := range []int{1, 7, 36, 180, 4096} {
+		feeds[fmt.Sprintf("chunk%d", n)] = chunked(n)
+	}
+	for _, head := range goldenHeads {
+		emb := head.emb(t)
+		want := goldenDigests[head.name+"/stream"]
+		for name, feed := range feeds {
+			if got, _ := streamDigest(t, emb, feed); got != want {
+				t.Errorf("%s/%s: stream beat digest %s, pinned %s", head.name, name, got, want)
 			}
 		}
 	}

@@ -7,16 +7,17 @@
 // The stages are the exact streaming counterparts of the batch path that
 // internal/wbsn runs over whole records:
 //
-//	raw ADC sample
-//	  └─ millivolt conversion
-//	       └─ sigdsp.StreamECGFilter   (noise suppression + baseline removal)
-//	            └─ peak.StreamDetector (à trous scales, adaptive thresholds,
-//	               modulus-maxima pairing, refractory arbitration)
-//	                 └─ beat window from the raw-sample ring
-//	                      └─ downsampling → core.Embedded (integer RP + NFC)
+//	raw ADC samples, in blocks of at most sigdsp.BlockSize
+//	  └─ sigdsp.StreamFilter[int32] (noise suppression on ADC counts,
+//	     millivolt conversion, baseline removal)
+//	       └─ peak.StreamDetector (à trous scales, adaptive thresholds,
+//	          modulus-maxima pairing, refractory arbitration)
+//	            └─ beat window from the raw-sample ring
+//	                 └─ downsampling → core.Embedded (integer RP + NFC)
 //
-// Each stage reports its group delay, every buffer is a fixed-size ring, and
-// the whole pipeline is bit-identical to the batch reference (BatchClassify)
+// Each stage runs stage-major over a block and reports its group delay,
+// every buffer is a fixed-size ring or a block-sized stack array, and the
+// whole pipeline is bit-identical to the batch reference (BatchClassify)
 // except within Delay() samples of the record end, where batch thresholds
 // use future samples a stream cannot see. TestPipelineMatchesBatch holds the
 // two paths to beat-for-beat equality.
@@ -26,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
@@ -44,7 +46,8 @@ type Config struct {
 	// detection path; classification consumes raw counts directly, as on
 	// the node. Leaving Gain unset (<= 0) selects the MIT-BIH geometry
 	// (ecgsyn.Gain / ecgsyn.Baseline). Setting Gain takes ADCZero as given,
-	// so a zero baseline (signed, centered ADC counts) is expressible.
+	// so a zero baseline (signed, centered ADC counts) is expressible. A
+	// non-finite Gain (NaN or ±Inf) is an error.
 	Gain    float64
 	ADCZero int32
 	// Before/After set the beat window around the R peak; defaults 100/100.
@@ -68,6 +71,16 @@ type Config struct {
 	// is a stream starting at its true beginning. Batch classification
 	// ignores it.
 	BaseSample int
+}
+
+// checkGain rejects a gain the millivolt conversion cannot use: NaN would
+// turn every sample into NaN and +Inf every sample into ±0, and the
+// streaming noise stage on ADC counts is exact only for a finite gain.
+func (c Config) checkGain() error {
+	if math.IsNaN(c.Gain) || math.IsInf(c.Gain, 0) {
+		return fmt.Errorf("pipeline: gain %v is not finite", c.Gain)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -116,10 +129,11 @@ type BeatResult struct {
 // Pipeline is a single-stream online classifier. It is not safe for
 // concurrent use; Engine multiplexes many pipelines over a worker pool.
 type Pipeline struct {
-	emb    *core.Embedded
-	cfg    Config
-	filter *sigdsp.StreamECGFilter
-	det    *peak.StreamDetector
+	emb         *core.Embedded
+	cfg         Config
+	filter      *sigdsp.StreamFilter[int32]
+	filterDelay int
+	det         *peak.StreamDetector
 
 	raw     []int32 // ring of raw ADC counts (power-of-two length)
 	rawMask int     // len(raw)-1, for mask-indexing the ring
@@ -140,6 +154,9 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	if err := emb.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.checkGain(); err != nil {
+		return nil, err
+	}
 	c := cfg.withDefaults()
 	if want := dimAfter(c.Before+c.After, emb.Downsample); want != emb.D {
 		return nil, fmt.Errorf("pipeline: window %d+%d at downsample %d gives dimension %d, model wants %d",
@@ -152,15 +169,18 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		emb:    emb,
 		cfg:    c,
-		filter: sigdsp.NewStreamECGFilter(c.Baseline),
+		filter: sigdsp.NewStreamFilter[int32](c.Baseline, float64(c.ADCZero), c.Gain),
 		det:    det,
 		window: make([]int32, c.Before+c.After),
 		ds:     make([]int32, emb.D),
 	}
+	p.filterDelay = p.filter.Delay()
 	p.scr.Grow(emb)
 	// The ring must still hold sample max(0, peak-Before) when a peak
-	// finalizes, at worst Delay() samples after the peak position.
-	p.raw = make([]int32, sigdsp.RingSize(p.Delay()+c.Before+c.After+64))
+	// finalizes, at worst Delay() samples after the peak position, while
+	// the rest of the finalizing sample's block (under BlockSize samples)
+	// is already in the ring.
+	p.raw = make([]int32, sigdsp.RingSize(p.Delay()+c.Before+c.After+64+sigdsp.BlockSize))
 	p.rawMask = len(p.raw) - 1
 	return p, nil
 }
@@ -217,7 +237,8 @@ func ResyncWarmup(cfg Config) int {
 // MemoryBytes reports the pipeline's fixed working set: the raw ring, the
 // classifier tables (including the sparse projection kernel the host hot
 // path runs) and the scratch buffers. It does not grow with stream length
-// (asserted by TestPipelineBoundedMemory).
+// or chunk size (asserted by TestPipelineBoundedMemory): the block buffers
+// are stack arrays of sigdsp.BlockSize samples.
 func (p *Pipeline) MemoryBytes() int {
 	return 4*len(p.raw) + p.emb.HostBytes() +
 		4*(len(p.window)+len(p.ds)) + p.scr.MemoryBytes()
@@ -228,19 +249,17 @@ func (p *Pipeline) Samples() int { return p.n }
 
 // Push consumes one raw ADC sample and returns the beats it finalized
 // (usually none — beats surface in bursts as threshold windows complete).
-// The returned slice is reused by the next call; copy it to retain.
+// It is a one-sample block through the same kernels as PushChunk. The
+// returned slice is reused by the next call; copy it to retain.
 //
 //rpbeat:allocfree
 func (p *Pipeline) Push(sample int32) []BeatResult {
 	p.out = p.out[:0]
 	p.raw[p.n&p.rawMask] = sample
 	p.n++
-	y, ok := p.filter.Push(millivolts(sample, float64(p.cfg.ADCZero), p.cfg.Gain))
-	if !ok {
-		return nil
-	}
-	for _, pk := range p.det.Push(y) {
-		p.classify(pk)
+	if y, ok := p.filter.Push(sample); ok {
+		in := [1]float64{y}
+		p.detect(in[:])
 	}
 	return p.out
 }
@@ -248,29 +267,42 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 // PushChunk consumes a whole chunk of raw ADC samples and invokes emit once
 // with every beat the chunk finalized, in input order (emit is not called
 // for chunks that finalize nothing). It is bit-identical to calling Push per
-// sample and concatenating the results; the per-sample return-slice reset
-// and call overhead are amortized over the chunk, which is what the engine's
-// workers and /v1/stream run. The slice passed to emit is reused by the next
+// sample and concatenating the results: the chunk runs stage-major in
+// blocks of at most sigdsp.BlockSize samples, and every beat carries the
+// sample that finalized it. This is what the engine's workers and
+// /v1/stream run. The slice passed to emit is reused by the next
 // Push/PushChunk call; copy it to retain.
 //
 //rpbeat:allocfree
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	p.out = p.out[:0]
+	var y [sigdsp.BlockSize]float64
 	raw, mask := p.raw, p.rawMask
-	zero, gain := float64(p.cfg.ADCZero), p.cfg.Gain
-	for _, v := range samples {
-		raw[p.n&mask] = v
-		p.n++
-		y, ok := p.filter.Push(millivolts(v, zero, gain))
-		if !ok {
-			continue
+	for len(samples) > 0 {
+		blk := samples[:min(len(samples), sigdsp.BlockSize)]
+		for _, v := range blk {
+			raw[p.n&mask] = v
+			p.n++
 		}
-		for _, pk := range p.det.Push(y) {
-			p.classify(pk)
-		}
+		p.detect(p.filter.Block(y[:], blk))
+		samples = samples[len(blk):]
 	}
 	if len(p.out) > 0 && emit != nil {
 		emit(p.out)
+	}
+}
+
+// detect runs filtered samples through the detector and classifies the
+// beats they finalize. The whole block is already in the raw ring, so each
+// beat's window is clipped at its finalizing sample, as a sample-at-a-time
+// run would see the ring.
+//
+//rpbeat:allocfree
+func (p *Pipeline) detect(y []float64) {
+	for _, d := range p.det.Block(y) {
+		// The detector indexes filtered samples; filtered sample i arrives
+		// with raw sample i+filterDelay.
+		p.classify(d.Pos, d.At+p.filterDelay+1)
 	}
 }
 
@@ -291,24 +323,25 @@ func (p *Pipeline) Flush() []BeatResult {
 	}
 	p.flushed = true
 	for _, pk := range p.det.Flush() {
-		p.classify(pk)
+		p.classify(pk, p.n)
 	}
 	return p.out
 }
 
 // classify cuts the beat window out of the raw ring (with the same edge
-// replication as sigdsp.WindowInt), downsamples and runs the integer
-// RP + NFC classifier.
+// replication as sigdsp.WindowInt, over the first n samples: those a
+// per-sample run had consumed when the beat finalized), downsamples and
+// runs the integer RP + NFC classifier.
 //
 //rpbeat:allocfree
-func (p *Pipeline) classify(pk int) {
+func (p *Pipeline) classify(pk, n int) {
 	for i := range p.window {
 		j := pk - p.cfg.Before + i
 		if j < 0 {
 			j = 0
 		}
-		if j >= p.n {
-			j = p.n - 1
+		if j >= n {
+			j = n - 1
 		}
 		p.window[i] = p.raw[j&p.rawMask]
 	}
@@ -319,7 +352,7 @@ func (p *Pipeline) classify(pk int) {
 	p.out = append(p.out, BeatResult{
 		Peak:       p.cfg.BaseSample + pk,
 		Decision:   d,
-		DetectedAt: p.cfg.BaseSample + p.n - 1,
+		DetectedAt: p.cfg.BaseSample + n - 1,
 	})
 }
 
@@ -382,6 +415,9 @@ func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, cf
 		return nil, err
 	}
 	if err := emb.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkGain(); err != nil {
 		return nil, err
 	}
 	c := cfg.withDefaults()

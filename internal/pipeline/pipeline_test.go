@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -174,6 +176,40 @@ func TestPipelineBoundedMemory(t *testing.T) {
 	if pipe.Samples() != 5*len(rec.Leads[0]) {
 		t.Fatalf("consumed %d samples, want %d", pipe.Samples(), 5*len(rec.Leads[0]))
 	}
+	// A chunk far longer than a block runs through the same fixed buffers:
+	// the working set does not scale with the chunk either.
+	big := make([]int32, 1<<16)
+	for i := range big {
+		big[i] = rec.Leads[0][i%len(rec.Leads[0])]
+	}
+	pipe.PushChunk(big, nil)
+	if m := pipe.MemoryBytes(); m != after30s {
+		t.Fatalf("working set grew with a %d-sample chunk: %d -> %d bytes", len(big), after30s, m)
+	}
+	if pipe.Samples() != 5*len(rec.Leads[0])+len(big) {
+		t.Fatalf("consumed %d samples, want %d", pipe.Samples(), 5*len(rec.Leads[0])+len(big))
+	}
+}
+
+// A non-finite gain would turn the millivolt conversion into NaN (NaN
+// gain) or ±0 (+Inf), and -Inf would silently select the default
+// geometry; both entry points refuse all three.
+func TestPipelineRejectsNonFiniteGain(t *testing.T) {
+	emb := testModel(t)
+	lead := make([]int32, 100)
+	var scratch BatchScratch
+	for _, gain := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Gain: gain}
+		if _, err := New(emb, cfg); err == nil {
+			t.Errorf("New accepted gain %v", gain)
+		}
+		if _, err := BatchClassifyInto(context.Background(), emb, lead, cfg, &scratch); err == nil {
+			t.Errorf("BatchClassifyInto accepted gain %v", gain)
+		}
+		if _, err := BatchClassify(context.Background(), emb, lead, cfg); err == nil {
+			t.Errorf("BatchClassify accepted gain %v", gain)
+		}
+	}
 }
 
 func TestPipelineRejectsMismatchedGeometry(t *testing.T) {
@@ -217,6 +253,33 @@ func BenchmarkPipelinePush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pipe.Push(lead[i%len(lead)])
+	}
+}
+
+// BenchmarkPipelinePushChunk times the serving path: PushChunk over a 60 s
+// record in the chunk sizes of the stream_gateway (36) and fleet_engine
+// (180) workloads, in ns per sample.
+func BenchmarkPipelinePushChunk(b *testing.B) {
+	emb := testModel(b)
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "b", Seconds: 60, Seed: 3, PVCRate: 0.1}).Leads[0]
+	for _, chunk := range []int{36, 180} {
+		b.Run(strconv.Itoa(chunk), func(b *testing.B) {
+			pipe, err := New(emb, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			off := 0
+			for i := 0; i < b.N; i++ {
+				if off+chunk > len(lead) {
+					off = 0
+				}
+				pipe.PushChunk(lead[off:off+chunk], nil)
+				off += chunk
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
+		})
 	}
 }
 

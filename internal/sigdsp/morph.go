@@ -12,8 +12,8 @@ package sigdsp
 // Erode computes the morphological erosion of x with a flat structuring
 // element of the given length (a sliding-window minimum centered on each
 // sample; even lengths extend one sample further to the left). Signal borders
-// are handled by shrinking the window. The implementation is the van
-// Herk/Gil-Werman algorithm: O(n) independent of the element length.
+// are handled by shrinking the window. The implementation is a monotonic
+// deque: O(n) independent of the element length.
 func Erode(x []float64, length int) []float64 {
 	return slideExtremum(x, length, false)
 }

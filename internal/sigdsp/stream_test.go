@@ -7,68 +7,96 @@ import (
 	"rpbeat/internal/rng"
 )
 
+// blockSplits are the block lengths the streaming tests cut their inputs
+// into: one sample at a time, odd sizes that straddle every warm-up
+// boundary, and whole BlockSize blocks.
+var blockSplits = []int{1, 2, 7, 36, 180, BlockSize}
+
+// streamBlocks feeds x through a block operator in pieces of `split`
+// samples and concatenates what it emits.
+func streamBlocks[T Sample](x []T, split int, block func(dst, src []T) []T) []T {
+	var out []T
+	buf := make([]T, split)
+	for i := 0; i < len(x); i += split {
+		src := x[i:min(i+split, len(x))]
+		out = append(out, block(buf, src)...)
+	}
+	return out
+}
+
 func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 	r := rng.New(1)
 	for _, length := range []int{1, 2, 3, 7, 32} {
 		x := randomSignal(r, 300)
-		sMax := NewStreamMax(length)
-		sMin := NewStreamMin(length)
-		for i := range x {
-			gotMax := sMax.Push(x[i])
-			gotMin := sMin.Push(x[i])
-			lo := i - length + 1
-			if lo < 0 {
-				lo = 0
+		for _, split := range blockSplits {
+			gotMax := streamBlocks(x, split, NewStreamMax[float64](length).Block)
+			gotMin := streamBlocks(x, split, NewStreamMin[float64](length).Block)
+			if len(gotMax) != len(x) || len(gotMin) != len(x) {
+				t.Fatalf("len %d split %d: %d/%d outputs for %d samples", length, split, len(gotMax), len(gotMin), len(x))
 			}
-			wantMax, wantMin := x[lo], x[lo]
-			for j := lo + 1; j <= i; j++ {
-				if x[j] > wantMax {
-					wantMax = x[j]
+			for i := range x {
+				lo := max(i-length+1, 0)
+				wantMax, wantMin := x[lo], x[lo]
+				for j := lo + 1; j <= i; j++ {
+					if x[j] > wantMax {
+						wantMax = x[j]
+					}
+					if x[j] < wantMin {
+						wantMin = x[j]
+					}
 				}
-				if x[j] < wantMin {
-					wantMin = x[j]
+				if gotMax[i] != wantMax {
+					t.Fatalf("len %d split %d sample %d: max %v want %v", length, split, i, gotMax[i], wantMax)
 				}
-			}
-			if gotMax != wantMax {
-				t.Fatalf("len %d sample %d: max %v want %v", length, i, gotMax, wantMax)
-			}
-			if gotMin != wantMin {
-				t.Fatalf("len %d sample %d: min %v want %v", length, i, gotMin, wantMin)
+				if gotMin[i] != wantMin {
+					t.Fatalf("len %d split %d sample %d: min %v want %v", length, split, i, gotMin[i], wantMin)
+				}
 			}
 		}
 	}
 }
 
+// The streaming erosion and dilation equal the batch operators on every
+// sample they emit, from sample 0 on (the trailing windows over the first
+// samples cover exactly the batch's shrunken border windows), for the
+// width-3 carry and the segment form alike, in float64 and in int32,
+// whatever the block split.
 func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 	r := rng.New(2)
-	for _, length := range []int{3, 5, 9, 31} {
+	for _, length := range []int{2, 3, 5, 9, 31} {
 		x := randomSignal(r, 400)
-		batchE := Erode(x, length)
-		batchD := Dilate(x, length)
-		sm := NewStreamErode(length)
-		sd := NewStreamDilate(length)
-		var gotE, gotD []float64
-		for _, v := range x {
-			if o, ok := sm.Push(v); ok {
-				gotE = append(gotE, o)
-			}
-			if o, ok := sd.Push(v); ok {
-				gotD = append(gotD, o)
-			}
+		// An integer copy on a coarse grid, so ties are common.
+		xi := make([]int32, len(x))
+		xf := make([]float64, len(x))
+		for i, v := range x {
+			xi[i] = int32(4 * v)
+			xf[i] = float64(xi[i])
 		}
-		// Output i corresponds to input i; the stream cannot produce the
-		// final Delay() samples (their windows need future input) and its
-		// first Delay() outputs use a trailing (not centered) window.
-		warm := length // covers the left-border semantic difference
-		if len(gotE) != len(x)-sm.Delay() {
-			t.Fatalf("len %d: stream emitted %d samples, want %d", length, len(gotE), len(x)-sm.Delay())
-		}
-		for i := warm; i < len(gotE); i++ {
-			if gotE[i] != batchE[i] {
-				t.Fatalf("len %d: erosion sample %d: stream %v batch %v", length, i, gotE[i], batchE[i])
-			}
-			if gotD[i] != batchD[i] {
-				t.Fatalf("len %d: dilation sample %d: stream %v batch %v", length, i, gotD[i], batchD[i])
+		for _, split := range blockSplits {
+			for _, wantMax := range []bool{false, true} {
+				batch, batchI := Erode(x, length), Erode(xf, length)
+				newF, newI := NewStreamErode[float64], NewStreamErode[int32]
+				if wantMax {
+					batch, batchI = Dilate(x, length), Dilate(xf, length)
+					newF, newI = NewStreamDilate[float64], NewStreamDilate[int32]
+				}
+				s := newF(length)
+				got := streamBlocks(x, split, s.Block)
+				gotI := streamBlocks(xi, split, newI(length).Block)
+				if len(got) != len(x)-s.Delay() || len(gotI) != len(got) {
+					t.Fatalf("len %d split %d: stream emitted %d/%d samples, want %d",
+						length, split, len(got), len(gotI), len(x)-s.Delay())
+				}
+				for i := range got {
+					if got[i] != batch[i] {
+						t.Fatalf("len %d split %d max %v: sample %d: stream %v batch %v",
+							length, split, wantMax, i, got[i], batch[i])
+					}
+					if float64(gotI[i]) != batchI[i] {
+						t.Fatalf("len %d split %d max %v: int32 sample %d: stream %v batch %v",
+							length, split, wantMax, i, gotI[i], batchI[i])
+					}
+				}
 			}
 		}
 	}
@@ -78,21 +106,16 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		length := 3 + r.Intn(20)
+		split := 1 + r.Intn(2*BlockSize)
 		x := randomSignal(r, 100+r.Intn(100))
 		batch := Erode(x, length)
-		s := NewStreamErode(length)
-		var got []float64
-		for _, v := range x {
-			if o, ok := s.Push(v); ok {
-				got = append(got, o)
-			}
-		}
-		for i := length; i < len(got); i++ {
+		got := streamBlocks(x, split, NewStreamErode[float64](length).Block)
+		for i := range got {
 			if got[i] != batch[i] {
 				return false
 			}
 		}
-		return true
+		return len(got) == len(x)-(length-1-length/2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -100,16 +123,18 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 }
 
 func TestStreamExtremumBoundedMemory(t *testing.T) {
-	s := NewStreamMax(16)
-	ring := &s.ring[0]
+	s := NewStreamMax[float64](16)
+	seg := &s.seg[0]
 	r := rng.New(9)
-	for i := 0; i < 10000; i++ {
-		s.Push(r.Norm())
-		if n := s.tail - s.head; n > 16 {
-			t.Fatalf("deque holds %d entries for a 16-sample window", n)
+	x := randomSignal(r, 10000)
+	buf := make([]float64, BlockSize)
+	for i := 0; i < len(x); i += 37 {
+		s.Block(buf, x[i:min(i+37, len(x))])
+		if len(s.seg) != 17 || s.p >= 16 {
+			t.Fatalf("state of a 16-sample window: %d stored samples, position %d", len(s.seg), s.p)
 		}
 	}
-	if &s.ring[0] != ring {
-		t.Fatal("deque ring was reallocated; Push must not allocate")
+	if &s.seg[0] != seg {
+		t.Fatal("segment buffer was reallocated; Block must not allocate")
 	}
 }
